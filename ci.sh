@@ -15,11 +15,15 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test -q (tier-1)"
-cargo test -q
+echo "==> tier-1 from an empty target dir: cargo build --release && cargo test -q"
+# default-members covers every package, so this runs the whole workspace
+# suite, including the tests that drive the crates' binaries.
+TIER1_TARGET=$(mktemp -d)
+CARGO_TARGET_DIR="$TIER1_TARGET" sh -c 'cargo build --release && cargo test -q'
+rm -rf "$TIER1_TARGET"
 
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+echo "==> benchmark harness tests (pipeline span names and API signatures it drives)"
+cargo test --release --manifest-path benchmark/Cargo.toml
 
 echo "==> conformance gate (clean corpus, traced)"
 cargo run --release -q -p extractocol-dynamic --bin extractocol-eval -- \

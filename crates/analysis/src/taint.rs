@@ -1878,7 +1878,7 @@ mod tests {
         );
         for entry in ["a", "b"] {
             let seed = entry_seed(&prog, entry);
-            let with = cached.run(Direction::Forward, &[seed.clone()]);
+            let with = cached.run(Direction::Forward, std::slice::from_ref(&seed));
             let without = plain.run(Direction::Forward, &[seed]);
             assert_eq!(sorted_slice(&with), sorted_slice(&without), "entry {entry}");
             assert_eq!(with.statics, without.statics);
@@ -1899,7 +1899,7 @@ mod tests {
         let graph = CallGraph::build(&prog, &CallbackRegistry::empty());
         let engine = TaintEngine::new(&prog, &graph, &ConservativeModel, TaintOptions::default());
         let seed = entry_seed(&prog, "a");
-        let first = engine.run(Direction::Forward, &[seed.clone()]);
+        let first = engine.run(Direction::Forward, std::slice::from_ref(&seed));
         let after_first = engine.cache_stats();
         let second = engine.run(Direction::Forward, &[seed]);
         let after_second = engine.cache_stats();

@@ -818,7 +818,7 @@ mod tests {
         // `s` — no more, no less. Exercises every metacharacter (incl. `{`,
         // `}`, `-`, `^`, `$`, and `]`) plus plain text.
         let alphabet: Vec<char> = (0x20u8..0x7f).map(char::from).collect();
-        let mut rng = extractocol_ir::rng::Rng::new(0x5eed_e5ca_9e);
+        let mut rng = extractocol_ir::rng::Rng::new(0x005e_ede5_ca9e);
         for _ in 0..300 {
             let len = rng.below(24);
             let s = rng.ascii_string(&alphabet, len);

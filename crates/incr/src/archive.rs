@@ -1,25 +1,27 @@
 //! The `.exsm` persistent summary-cache archive.
 //!
-//! Same header discipline as the serving side's `.exsv` signature-index
-//! archives: an 8-byte magic, a little-endian version, a reserved word, the
-//! payload length, and a FNV-1a 64 checksum over the payload — 32 bytes of
-//! header, then the payload. Loads are hostile-input safe: the checksum is
-//! verified before any decoding, every read is bounds-checked, counts are
-//! validated against the remaining payload, strings must be UTF-8, and all
-//! cross-references (summary → method-table indices) are range-checked.
-//! Anything off refuses the whole archive with a typed error — a cache
-//! must never be able to corrupt an analysis, only to miss.
+//! An [`extractocol_ir::container`] with magic `"EXSUMMRY"`: the same
+//! 32-byte checksummed header as the serving side's `.exsv` archives,
+//! then a payload of three positional parts with no section tags — the
+//! epoch, the method table, the summary table. This module owns only that
+//! schema. Loads are hostile-input safe: the container verifies the
+//! checksum before any decoding, bounds-checks every read, validates
+//! counts against the remaining payload and requires UTF-8 strings; this
+//! module range-checks every cross-reference (summary → method-table
+//! index). Anything off refuses the whole archive with a typed error — a
+//! cache must never be able to corrupt an analysis, only to miss.
 //!
 //! Methods are named by stable key (`class#name#arity#occurrence`), never
 //! by positional [`MethodId`], so archives survive renumbering; each
 //! method record carries the content hash and validity fingerprint its
 //! summaries were computed under, which the loader compares against the
 //! current program before admitting an entry.
+//!
+//! [`MethodId`]: extractocol_ir::MethodId
 
 use extractocol_analysis::{AccessPath, Direction, Root};
-use extractocol_ir::hash::fnv1a64;
+use extractocol_ir::container::{self, put_str, put_u32, put_u64, ContainerError, Reader};
 use extractocol_ir::Local;
-use std::fmt;
 use std::path::Path;
 
 /// `.exsm` file magic.
@@ -27,66 +29,6 @@ pub const ARCHIVE_MAGIC: &[u8; 8] = b"EXSUMMRY";
 /// Current format version. Bumped on any layout change; readers refuse
 /// other versions rather than guessing.
 pub const ARCHIVE_VERSION: u32 = 1;
-
-/// Everything that can go wrong reading (or writing) a `.exsm` archive.
-#[derive(Debug)]
-pub enum SummaryArchiveError {
-    /// Filesystem error, with context.
-    Io(String),
-    /// The first 8 bytes are not [`ARCHIVE_MAGIC`].
-    BadMagic,
-    /// The archive declares a version this build cannot read.
-    VersionMismatch { found: u32, supported: u32 },
-    /// The input ended before a read completed.
-    Truncated { context: &'static str, needed: usize, available: usize },
-    /// The payload checksum does not match the header.
-    ChecksumMismatch { expected: u64, actual: u64 },
-    /// A declared element count cannot fit in the remaining payload.
-    BadCount { context: &'static str, count: u64 },
-    /// An enum tag byte is out of range.
-    BadTag { context: &'static str, tag: u8 },
-    /// A string is not valid UTF-8.
-    BadUtf8 { context: &'static str },
-    /// Bytes remain after the last section.
-    TrailingBytes { count: usize },
-    /// Structurally well-formed but semantically inconsistent (e.g. a
-    /// summary referencing a method index past the method table).
-    Invalid(String),
-}
-
-impl fmt::Display for SummaryArchiveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SummaryArchiveError::Io(msg) => write!(f, "io error: {msg}"),
-            SummaryArchiveError::BadMagic => write!(f, "not a .exsm summary archive (bad magic)"),
-            SummaryArchiveError::VersionMismatch { found, supported } => {
-                write!(f, "archive version {found} unsupported (reader supports {supported})")
-            }
-            SummaryArchiveError::Truncated { context, needed, available } => {
-                write!(f, "truncated reading {context}: needed {needed}, had {available}")
-            }
-            SummaryArchiveError::ChecksumMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "payload checksum mismatch: header {expected:#018x}, actual {actual:#018x}"
-                )
-            }
-            SummaryArchiveError::BadCount { context, count } => {
-                write!(f, "{context} count {count} exceeds remaining payload")
-            }
-            SummaryArchiveError::BadTag { context, tag } => {
-                write!(f, "bad {context} tag {tag:#04x}")
-            }
-            SummaryArchiveError::BadUtf8 { context } => write!(f, "{context} is not UTF-8"),
-            SummaryArchiveError::TrailingBytes { count } => {
-                write!(f, "{count} trailing byte(s) after the last section")
-            }
-            SummaryArchiveError::Invalid(msg) => write!(f, "invalid archive: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for SummaryArchiveError {}
 
 /// The cache's compatibility epoch: analyses under different options (or
 /// of a different app) produce incomparable summaries, so a mismatch
@@ -153,19 +95,6 @@ pub struct SummaryArchive {
 // Writing
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
 fn put_path(out: &mut Vec<u8>, p: &AccessPath) {
     match &p.root {
         Root::Local(l) => {
@@ -183,192 +112,94 @@ fn put_path(out: &mut Vec<u8>, p: &AccessPath) {
     }
 }
 
-/// Serializes an archive: 32-byte header (magic, version, reserved,
-/// payload length, FNV-1a checksum), then the payload.
+/// Serializes an archive: the container header, then the epoch, the
+/// method table and the summary table.
 pub fn write_archive(a: &SummaryArchive) -> Vec<u8> {
-    let mut payload = Vec::new();
-    // META
-    put_str(&mut payload, &a.epoch.app);
-    put_u32(&mut payload, a.epoch.max_field_depth);
-    payload.push((a.epoch.pointsto as u8) | ((a.epoch.targeted as u8) << 1));
-    // METH
-    put_u64(&mut payload, a.methods.len() as u64);
-    for m in &a.methods {
-        put_str(&mut payload, &m.key);
-        put_u64(&mut payload, m.content);
-        put_u64(&mut payload, m.validity);
-    }
-    // SUMS
-    put_u64(&mut payload, a.summaries.len() as u64);
-    for s in &a.summaries {
-        payload.push(match s.direction {
-            Direction::Forward => 0,
-            Direction::Backward => 1,
-        });
-        put_u32(&mut payload, s.method);
-        put_u32(&mut payload, s.stmt);
-        put_path(&mut payload, &s.fact);
-        put_u64(&mut payload, s.nodes.len() as u64);
-        for (st, p) in &s.nodes {
-            put_u32(&mut payload, *st);
-            put_path(&mut payload, p);
+    container::write(ARCHIVE_MAGIC, ARCHIVE_VERSION, |out| {
+        put_str(out, &a.epoch.app);
+        put_u32(out, a.epoch.max_field_depth);
+        out.push((a.epoch.pointsto as u8) | ((a.epoch.targeted as u8) << 1));
+        put_u64(out, a.methods.len() as u64);
+        for m in &a.methods {
+            put_str(out, &m.key);
+            put_u64(out, m.content);
+            put_u64(out, m.validity);
         }
-        put_u64(&mut payload, s.marks.len() as u64);
-        for st in &s.marks {
-            put_u32(&mut payload, *st);
+        put_u64(out, a.summaries.len() as u64);
+        for s in &a.summaries {
+            put_summary(out, s);
         }
-        put_u64(&mut payload, s.extern_marks.len() as u64);
-        for (m, st) in &s.extern_marks {
-            put_u32(&mut payload, *m);
-            put_u32(&mut payload, *st);
-        }
-        put_u64(&mut payload, s.exits.len() as u64);
-        for (m, st, p) in &s.exits {
-            put_u32(&mut payload, *m);
-            put_u32(&mut payload, *st);
-            put_path(&mut payload, p);
-        }
-        put_u64(&mut payload, s.statics.len() as u64);
-        for k in &s.statics {
-            put_str(&mut payload, k);
-        }
-    }
+    })
+}
 
-    let mut out = Vec::with_capacity(32 + payload.len());
-    out.extend_from_slice(ARCHIVE_MAGIC);
-    put_u32(&mut out, ARCHIVE_VERSION);
-    put_u32(&mut out, 0); // reserved
-    put_u64(&mut out, payload.len() as u64);
-    put_u64(&mut out, fnv1a64(&payload));
-    out.extend_from_slice(&payload);
-    out
+fn put_summary(out: &mut Vec<u8>, s: &SummaryRecord) {
+    out.push(match s.direction {
+        Direction::Forward => 0,
+        Direction::Backward => 1,
+    });
+    put_u32(out, s.method);
+    put_u32(out, s.stmt);
+    put_path(out, &s.fact);
+    put_u64(out, s.nodes.len() as u64);
+    for (st, p) in &s.nodes {
+        put_u32(out, *st);
+        put_path(out, p);
+    }
+    put_u64(out, s.marks.len() as u64);
+    for st in &s.marks {
+        put_u32(out, *st);
+    }
+    put_u64(out, s.extern_marks.len() as u64);
+    for (m, st) in &s.extern_marks {
+        put_u32(out, *m);
+        put_u32(out, *st);
+    }
+    put_u64(out, s.exits.len() as u64);
+    for (m, st, p) in &s.exits {
+        put_u32(out, *m);
+        put_u32(out, *st);
+        put_path(out, p);
+    }
+    put_u64(out, s.statics.len() as u64);
+    for k in &s.statics {
+        put_str(out, k);
+    }
 }
 
 /// Writes an archive to disk.
-pub fn write_file(path: &Path, a: &SummaryArchive) -> Result<(), SummaryArchiveError> {
-    std::fs::write(path, write_archive(a))
-        .map_err(|e| SummaryArchiveError::Io(format!("{}: {e}", path.display())))
+pub fn write_file(path: &Path, a: &SummaryArchive) -> Result<(), ContainerError> {
+    container::write_file(path, &write_archive(a))
 }
 
 // ---------------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked payload cursor.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], SummaryArchiveError> {
-        let available = self.buf.len() - self.pos;
-        if n > available {
-            return Err(SummaryArchiveError::Truncated { context, needed: n, available });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+fn get_path(cur: &mut Reader<'_>, context: &'static str) -> Result<AccessPath, ContainerError> {
+    let root = match cur.u8(context)? {
+        0 => Root::Local(Local(cur.u32(context)?)),
+        1 => Root::Static(cur.str(context)?),
+        tag => return Err(ContainerError::BadTag { context, tag }),
+    };
+    let n = cur.count(1, context)?;
+    let mut fields = Vec::with_capacity(n);
+    for _ in 0..n {
+        fields.push(cur.str(context)?);
     }
-
-    fn u8(&mut self, context: &'static str) -> Result<u8, SummaryArchiveError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, SummaryArchiveError> {
-        Ok(u32::from_le_bytes(self.take(4, context)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, SummaryArchiveError> {
-        Ok(u64::from_le_bytes(self.take(8, context)?.try_into().unwrap()))
-    }
-
-    /// A declared element count, sanity-checked against the remaining
-    /// payload (`min_size` bytes per element) so hostile counts cannot
-    /// trigger huge allocations.
-    fn count(
-        &mut self,
-        min_size: usize,
-        context: &'static str,
-    ) -> Result<usize, SummaryArchiveError> {
-        let n = self.u64(context)?;
-        let available = (self.buf.len() - self.pos) as u64;
-        if n.checked_mul(min_size as u64).is_none_or(|bytes| bytes > available) {
-            return Err(SummaryArchiveError::BadCount { context, count: n });
-        }
-        Ok(n as usize)
-    }
-
-    fn str(&mut self, context: &'static str) -> Result<String, SummaryArchiveError> {
-        let n = self.count(1, context)?;
-        let bytes = self.take(n, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SummaryArchiveError::BadUtf8 { context })
-    }
-
-    fn path(&mut self, context: &'static str) -> Result<AccessPath, SummaryArchiveError> {
-        let root = match self.u8(context)? {
-            0 => Root::Local(Local(self.u32(context)?)),
-            1 => Root::Static(self.str(context)?),
-            tag => return Err(SummaryArchiveError::BadTag { context, tag }),
-        };
-        let n = self.count(1, context)?;
-        let mut fields = Vec::with_capacity(n);
-        for _ in 0..n {
-            fields.push(self.str(context)?);
-        }
-        Ok(AccessPath { root, fields })
-    }
+    Ok(AccessPath { root, fields })
 }
 
 /// Decodes a `.exsm` archive. Checksum first, then bounds-checked decode;
 /// any inconsistency refuses the whole archive.
-pub fn read_archive(bytes: &[u8]) -> Result<SummaryArchive, SummaryArchiveError> {
-    if bytes.len() < 32 {
-        return Err(SummaryArchiveError::Truncated {
-            context: "header",
-            needed: 32,
-            available: bytes.len(),
-        });
-    }
-    if &bytes[0..8] != ARCHIVE_MAGIC {
-        return Err(SummaryArchiveError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != ARCHIVE_VERSION {
-        return Err(SummaryArchiveError::VersionMismatch {
-            found: version,
-            supported: ARCHIVE_VERSION,
-        });
-    }
-    let payload_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let expected = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-    let available = bytes.len() - 32;
-    if payload_len > available as u64 {
-        return Err(SummaryArchiveError::Truncated {
-            context: "payload",
-            needed: payload_len.min(usize::MAX as u64) as usize,
-            available,
-        });
-    }
-    if (available as u64) > payload_len {
-        return Err(SummaryArchiveError::TrailingBytes { count: available - payload_len as usize });
-    }
-    let payload = &bytes[32..];
-    let actual = fnv1a64(payload);
-    if actual != expected {
-        return Err(SummaryArchiveError::ChecksumMismatch { expected, actual });
-    }
-
-    let mut cur = Cur { buf: payload, pos: 0 };
-    // META
+pub fn read_archive(bytes: &[u8]) -> Result<SummaryArchive, ContainerError> {
+    let mut cur = container::open(bytes, ARCHIVE_MAGIC, ARCHIVE_VERSION)?;
     let app = cur.str("epoch app name")?;
     let max_field_depth = cur.u32("epoch max_field_depth")?;
     let flags = cur.u8("epoch flags")?;
     if flags & !0b11 != 0 {
-        return Err(SummaryArchiveError::BadTag { context: "epoch flags", tag: flags });
+        return Err(ContainerError::BadTag { context: "epoch flags", tag: flags });
     }
     let epoch = Epoch { app, max_field_depth, pointsto: flags & 1 != 0, targeted: flags & 2 != 0 };
-    // METH
     let n_methods = cur.count(24, "method table")?;
     let mut methods = Vec::with_capacity(n_methods);
     for _ in 0..n_methods {
@@ -377,83 +208,71 @@ pub fn read_archive(bytes: &[u8]) -> Result<SummaryArchive, SummaryArchiveError>
         let validity = cur.u64("method validity")?;
         methods.push(MethodRecord { key, content, validity });
     }
-    // SUMS
     let n_sums = cur.count(17, "summary table")?;
     let mut summaries = Vec::with_capacity(n_sums);
     for _ in 0..n_sums {
-        let direction = match cur.u8("summary direction")? {
-            0 => Direction::Forward,
-            1 => Direction::Backward,
-            tag => return Err(SummaryArchiveError::BadTag { context: "summary direction", tag }),
-        };
-        let method = cur.u32("summary method")?;
-        let stmt = cur.u32("summary stmt")?;
-        let fact = cur.path("summary fact")?;
-        let n = cur.count(5, "summary nodes")?;
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            let st = cur.u32("node stmt")?;
-            nodes.push((st, cur.path("node fact")?));
-        }
-        let n = cur.count(4, "summary marks")?;
-        let mut marks = Vec::with_capacity(n);
-        for _ in 0..n {
-            marks.push(cur.u32("mark stmt")?);
-        }
-        let n = cur.count(8, "summary extern marks")?;
-        let mut extern_marks = Vec::with_capacity(n);
-        for _ in 0..n {
-            let m = cur.u32("extern mark method")?;
-            extern_marks.push((m, cur.u32("extern mark stmt")?));
-        }
-        let n = cur.count(9, "summary exits")?;
-        let mut exits = Vec::with_capacity(n);
-        for _ in 0..n {
-            let m = cur.u32("exit method")?;
-            let st = cur.u32("exit stmt")?;
-            exits.push((m, st, cur.path("exit fact")?));
-        }
-        let n = cur.count(1, "summary statics")?;
-        let mut statics = Vec::with_capacity(n);
-        for _ in 0..n {
-            statics.push(cur.str("static key")?);
-        }
-        // Cross-reference validation: every method index must land in the
-        // method table.
-        let bound = methods.len() as u32;
-        let refs = std::iter::once(method)
-            .chain(extern_marks.iter().map(|&(m, _)| m))
-            .chain(exits.iter().map(|&(m, _, _)| m));
-        for r in refs {
-            if r >= bound {
-                return Err(SummaryArchiveError::Invalid(format!(
-                    "summary references method index {r} but the table has {bound} entries"
-                )));
-            }
-        }
-        summaries.push(SummaryRecord {
-            direction,
-            method,
-            stmt,
-            fact,
-            nodes,
-            marks,
-            extern_marks,
-            exits,
-            statics,
-        });
+        summaries.push(get_summary(&mut cur, methods.len() as u32)?);
     }
-    if cur.pos != payload.len() {
-        return Err(SummaryArchiveError::TrailingBytes { count: payload.len() - cur.pos });
-    }
+    cur.finish()?;
     Ok(SummaryArchive { epoch, methods, summaries })
 }
 
-/// Reads an archive from disk. A missing file is an [`SummaryArchiveError::Io`].
-pub fn read_file(path: &Path) -> Result<SummaryArchive, SummaryArchiveError> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| SummaryArchiveError::Io(format!("{}: {e}", path.display())))?;
-    read_archive(&bytes)
+/// One summary record; every method index must land in the
+/// `n_methods`-entry method table.
+fn get_summary(cur: &mut Reader<'_>, n_methods: u32) -> Result<SummaryRecord, ContainerError> {
+    let direction = match cur.u8("summary direction")? {
+        0 => Direction::Forward,
+        1 => Direction::Backward,
+        tag => return Err(ContainerError::BadTag { context: "summary direction", tag }),
+    };
+    let method = cur.u32("summary method")?;
+    let stmt = cur.u32("summary stmt")?;
+    let fact = get_path(cur, "summary fact")?;
+    let n = cur.count(5, "summary nodes")?;
+    let mut nodes = Vec::with_capacity(n);
+    for _ in 0..n {
+        let st = cur.u32("node stmt")?;
+        nodes.push((st, get_path(cur, "node fact")?));
+    }
+    let n = cur.count(4, "summary marks")?;
+    let mut marks = Vec::with_capacity(n);
+    for _ in 0..n {
+        marks.push(cur.u32("mark stmt")?);
+    }
+    let n = cur.count(8, "summary extern marks")?;
+    let mut extern_marks = Vec::with_capacity(n);
+    for _ in 0..n {
+        let m = cur.u32("extern mark method")?;
+        extern_marks.push((m, cur.u32("extern mark stmt")?));
+    }
+    let n = cur.count(9, "summary exits")?;
+    let mut exits = Vec::with_capacity(n);
+    for _ in 0..n {
+        let m = cur.u32("exit method")?;
+        let st = cur.u32("exit stmt")?;
+        exits.push((m, st, get_path(cur, "exit fact")?));
+    }
+    let n = cur.count(1, "summary statics")?;
+    let mut statics = Vec::with_capacity(n);
+    for _ in 0..n {
+        statics.push(cur.str("static key")?);
+    }
+    let refs = std::iter::once(method)
+        .chain(extern_marks.iter().map(|&(m, _)| m))
+        .chain(exits.iter().map(|&(m, _, _)| m));
+    for r in refs {
+        if r >= n_methods {
+            return Err(ContainerError::Invalid(format!(
+                "summary references method index {r} but the table has {n_methods} entries"
+            )));
+        }
+    }
+    Ok(SummaryRecord { direction, method, stmt, fact, nodes, marks, extern_marks, exits, statics })
+}
+
+/// Reads an archive from disk. A missing file is a [`ContainerError::Io`].
+pub fn read_file(path: &Path) -> Result<SummaryArchive, ContainerError> {
+    read_archive(&container::read_file(path)?)
 }
 
 #[cfg(test)]
@@ -495,35 +314,30 @@ mod tests {
         assert_eq!(write_archive(&back), bytes);
     }
 
+    /// `write_archive(&sample())`, pinned: any change to the codec's
+    /// output fails here.
+    const GOLDEN_HEX: &str = concat!(
+        "455853554d4d525901000000000000000f0100000000000079d91ca3d559a4ca0300000000000000",
+        "617070020000000102000000000000000f00000000000000636f6d2e6170702e412366233023300b",
+        "0000000000000015000000000000000f00000000000000636f6d2e6170702e412367233123300c00",
+        "00000000000016000000000000000100000000000000010000000003000000000200000001000000",
+        "00000000030000000000000075726c01000000000000000100000000000000000000000000000000",
+        "02000000000000000100000003000000010000000000000001000000070000000100000000000000",
+        "0100000000000000010b00000000000000636f6d2e6170702e43234b000000000000000001000000",
+        "000000000b00000000000000636f6d2e6170702e43234b",
+    );
+
     #[test]
-    fn corruption_and_skew_are_refused_with_typed_errors() {
-        let bytes = write_archive(&sample());
-        // Bad magic.
-        let mut b = bytes.clone();
-        b[0] ^= 0xFF;
-        assert!(matches!(read_archive(&b), Err(SummaryArchiveError::BadMagic)));
-        // Version skew.
-        let mut b = bytes.clone();
-        b[8] = 99;
-        assert!(matches!(
-            read_archive(&b),
-            Err(SummaryArchiveError::VersionMismatch { found: 99, supported: 1 })
-        ));
-        // Payload corruption → checksum.
-        let mut b = bytes.clone();
-        let last = b.len() - 1;
-        b[last] ^= 0x01;
-        assert!(matches!(read_archive(&b), Err(SummaryArchiveError::ChecksumMismatch { .. })));
-        // Truncation.
-        assert!(matches!(
-            read_archive(&bytes[..bytes.len() - 3]),
-            Err(SummaryArchiveError::Truncated { .. })
-        ));
-        assert!(matches!(read_archive(&bytes[..16]), Err(SummaryArchiveError::Truncated { .. })));
-        // Appended garbage → trailing bytes, not "truncated".
-        let mut b = bytes.clone();
-        b.extend_from_slice(b"garbage");
-        assert!(matches!(read_archive(&b), Err(SummaryArchiveError::TrailingBytes { count: 7 })));
+    fn sample_archive_matches_the_golden_bytes() {
+        let hex: String = write_archive(&sample()).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_HEX);
+    }
+
+    #[test]
+    fn hostile_input_sweep() {
+        // Payload offsets of u64 counts: the app-name length, the method
+        // table count, and the first method key's length.
+        container::hostile_input_sweep(&write_archive(&sample()), &[0, 16, 24], read_archive);
     }
 
     #[test]
@@ -531,6 +345,6 @@ mod tests {
         let mut a = sample();
         a.summaries[0].method = 9; // past the 2-entry table
         let bytes = write_archive(&a); // checksum is valid — semantic check must catch it
-        assert!(matches!(read_archive(&bytes), Err(SummaryArchiveError::Invalid(_))));
+        assert!(matches!(read_archive(&bytes), Err(ContainerError::Invalid(_))));
     }
 }

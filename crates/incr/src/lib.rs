@@ -27,8 +27,9 @@ pub mod cone;
 pub mod key;
 pub mod validity;
 
-pub use archive::{Epoch, SummaryArchive, SummaryArchiveError};
+pub use archive::{Epoch, SummaryArchive};
 pub use cone::TargetedStats;
+pub use extractocol_ir::container::ContainerError;
 pub use validity::Fingerprints;
 
 use extractocol_analysis::{AccessPath, Direction, Root, SummaryExport, TaintEngine};

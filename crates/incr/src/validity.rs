@@ -18,6 +18,7 @@
 
 use crate::key;
 use extractocol_analysis::{CallGraph, OperandSource, TaintEngine};
+use extractocol_ir::container::put_u64;
 use extractocol_ir::hash::fnv1a64;
 use extractocol_ir::{MethodId, ProgramIndex};
 use std::collections::HashMap;
@@ -33,10 +34,6 @@ pub struct Fingerprints {
     pub content: HashMap<MethodId, u64>,
     /// Validity fingerprint per in-scope concrete method.
     pub validity: HashMap<MethodId, u64>,
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
 }
 
 fn put_operand(buf: &mut Vec<u8>, o: &Option<OperandSource>) {

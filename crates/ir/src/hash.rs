@@ -1,10 +1,10 @@
 //! Shared content hashing: 64-bit FNV-1a.
 //!
-//! One hash, one implementation. The serving-side archives
-//! (`serve::archive`, `.exsv`) and the incremental summary cache
-//! (`incr::archive`, `.exsm`) both checksum their payloads with this
-//! function, and the incremental engine additionally fingerprints every
-//! method body with it (over the canonical [`crate::printer`] form). FNV-1a
+//! One hash, one implementation. The binary [`crate::container`] codec
+//! checksums every archive payload with it (the `.exsv` signature index
+//! and the `.exsm` summary cache), and the incremental engine
+//! additionally fingerprints every method body with it (over the
+//! canonical [`crate::printer`] form). FNV-1a
 //! is not cryptographic — it guards against corruption and stale inputs,
 //! not adversaries with hash-collision budgets — but it is deterministic
 //! across platforms, dependency-free, and fast enough to hash every method

@@ -17,7 +17,9 @@
 //!   [pretty-printer](printer) that round-trip,
 //! * a ProGuard-style [obfuscator](obfuscate) used to reproduce the paper's
 //!   obfuscation experiments (§3.4, §5.1),
-//! * a structural [validator](validate) used throughout the test suite.
+//! * a structural [validator](validate) used throughout the test suite,
+//! * the binary [container](container) codec shared by the on-disk
+//!   archive formats.
 //!
 //! The IR intentionally mirrors Jimple's statement forms (assignments with a
 //! single operation on the right-hand side, identity statements binding
@@ -27,6 +29,7 @@
 pub mod apk;
 pub mod builder;
 pub mod class;
+pub mod container;
 pub mod hash;
 pub mod obfuscate;
 pub mod parser;

@@ -8,20 +8,18 @@
 //!
 //! # Layout (version 1)
 //!
+//! The archive is an [`extractocol_ir::container`] with magic
+//! `"EXSERVIX"`: the shared 32-byte header (magic, version, reserved,
+//! payload length, FNV-1a 64 payload checksum), then a payload of two
+//! tagged sections in fixed order:
+//!
 //! ```text
-//! header (32 bytes):
-//!   magic            8 bytes  "EXSERVIX"
-//!   version          u32 LE   (1)
-//!   reserved         u32 LE   (0)
-//!   payload_len      u64 LE   byte length of everything after the header
-//!   payload_checksum u64 LE   FNV-1a 64 over the payload bytes
-//! payload: two length-prefixed sections, in fixed order:
-//!   section = tag (u32 LE) + byte_len (u64 LE) + bytes
-//!     "SIGS" — the flat signature table (id = position)
-//!     "NODE" — the flat trie-node table (index = position)
+//! section = tag (u32 LE) + byte_len (u64 LE) + bytes
+//!   "SIGS" — the flat signature table (id = position)
+//!   "NODE" — the flat trie-node table (index = position)
 //! ```
 //!
-//! All integers are little-endian; strings are `u64` byte length +
+//! This module owns only that schema. Strings are `u64` byte length +
 //! UTF-8 bytes; recursive patterns ([`SigPat`], [`JsonSig`], [`XmlSig`])
 //! are tag-byte trees with a hard decode-depth cap.
 //!
@@ -40,14 +38,15 @@
 //!   verdict-identical to a freshly compiled one (pinned corpus-wide by
 //!   `tests/serve_archive.rs`).
 //! * **Typed rejection**: corruption, truncation, and version skew each
-//!   surface as a distinct [`ArchiveError`] variant — never a panic,
+//!   surface as a distinct [`ContainerError`] variant — never a panic,
 //!   never a silently wrong index.
 
 use crate::index::{CompiledSig, SignatureIndex, TrieNode};
 use extractocol_core::sigbuild::BodySig;
 use extractocol_core::siglang::{JsonSig, SigPat, TypeHint, XmlSig};
 use extractocol_http::HttpMethod;
-use std::fmt;
+use extractocol_ir::container::{self, put_str, put_u32, put_u64, ContainerError, Reader};
+use std::path::Path;
 
 /// The 8-byte archive magic.
 pub const ARCHIVE_MAGIC: &[u8; 8] = b"EXSERVIX";
@@ -60,126 +59,9 @@ const MAX_PATTERN_DEPTH: usize = 256;
 const SECTION_SIGS: u32 = u32::from_le_bytes(*b"SIGS");
 const SECTION_NODES: u32 = u32::from_le_bytes(*b"NODE");
 
-/// Why an archive was rejected. Every variant is a deterministic verdict
-/// on the input bytes — loading never panics.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ArchiveError {
-    /// Filesystem failure on the `_file` entry points.
-    Io(String),
-    /// The first 8 bytes are not [`ARCHIVE_MAGIC`].
-    BadMagic,
-    /// Written by a different format version than this reader supports.
-    VersionMismatch {
-        /// Version found in the header.
-        found: u32,
-        /// Version this reader supports.
-        supported: u32,
-    },
-    /// Input ended before a declared length was satisfied.
-    Truncated {
-        /// What was being decoded.
-        context: &'static str,
-        /// Bytes the decoder needed.
-        needed: usize,
-        /// Bytes actually available.
-        available: usize,
-    },
-    /// Payload bytes do not hash to the header checksum.
-    ChecksumMismatch {
-        /// Checksum stored in the header.
-        expected: u64,
-        /// FNV-1a 64 of the payload actually read.
-        actual: u64,
-    },
-    /// A section tag other than the one required at that position.
-    BadSection {
-        /// Tag found in the stream.
-        found: u32,
-        /// Tag required here.
-        expected: u32,
-    },
-    /// An enum tag byte outside the encodable range.
-    BadTag {
-        /// What was being decoded.
-        context: &'static str,
-        /// The offending tag byte.
-        tag: u8,
-    },
-    /// A string field holding invalid UTF-8.
-    BadUtf8 {
-        /// What was being decoded.
-        context: &'static str,
-    },
-    /// A pattern tree nested beyond [`MAX_PATTERN_DEPTH`].
-    TooDeep {
-        /// What was being decoded.
-        context: &'static str,
-    },
-    /// Bytes left over after the last declared section.
-    TrailingBytes {
-        /// How many undeclared bytes remain.
-        count: usize,
-    },
-    /// The decoded flat layout is internally inconsistent.
-    Invalid(String),
-}
-
-impl fmt::Display for ArchiveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArchiveError::Io(e) => write!(f, "io: {e}"),
-            ArchiveError::BadMagic => write!(f, "not a signature-index archive (bad magic)"),
-            ArchiveError::VersionMismatch { found, supported } => {
-                write!(f, "archive version {found} unsupported (reader supports {supported})")
-            }
-            ArchiveError::Truncated { context, needed, available } => {
-                write!(f, "truncated {context}: needed {needed} bytes, {available} available")
-            }
-            ArchiveError::ChecksumMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "payload checksum mismatch: header {expected:#018x}, actual {actual:#018x}"
-                )
-            }
-            ArchiveError::BadSection { found, expected } => {
-                write!(f, "bad section tag {found:#010x} (expected {expected:#010x})")
-            }
-            ArchiveError::BadTag { context, tag } => write!(f, "bad {context} tag {tag:#04x}"),
-            ArchiveError::BadUtf8 { context } => write!(f, "invalid UTF-8 in {context}"),
-            ArchiveError::TooDeep { context } => {
-                write!(f, "{context} nested deeper than {MAX_PATTERN_DEPTH}")
-            }
-            ArchiveError::TrailingBytes { count } => {
-                write!(f, "{count} trailing byte(s) after the last section")
-            }
-            ArchiveError::Invalid(msg) => write!(f, "invalid index layout: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for ArchiveError {}
-
-/// FNV-1a 64 over a byte slice — the payload checksum. Re-exported from
-/// the shared [`extractocol_ir::hash`] util so every archive format (and
-/// the incremental engine's method content hashes) uses one implementation.
-pub use extractocol_ir::hash::fnv1a64;
-
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
 
 fn put_method(out: &mut Vec<u8>, m: HttpMethod) {
     out.push(match m {
@@ -331,125 +213,47 @@ fn put_node(out: &mut Vec<u8>, node: &TrieNode) {
 /// Serializes a compiled index into archive bytes. Deterministic: the
 /// same index always produces byte-identical output.
 pub fn write_archive(index: &SignatureIndex) -> Vec<u8> {
-    let mut sigs = Vec::new();
-    put_u64(&mut sigs, index.sigs.len() as u64);
-    for sig in &index.sigs {
-        put_sig(&mut sigs, sig);
-    }
-    let mut nodes = Vec::new();
-    put_u64(&mut nodes, index.nodes.len() as u64);
-    for node in &index.nodes {
-        put_node(&mut nodes, node);
-    }
-
-    let mut payload = Vec::with_capacity(sigs.len() + nodes.len() + 48);
-    put_u32(&mut payload, SECTION_SIGS);
-    put_u64(&mut payload, sigs.len() as u64);
-    payload.extend_from_slice(&sigs);
-    put_u32(&mut payload, SECTION_NODES);
-    put_u64(&mut payload, nodes.len() as u64);
-    payload.extend_from_slice(&nodes);
-
-    let mut out = Vec::with_capacity(32 + payload.len());
-    out.extend_from_slice(ARCHIVE_MAGIC);
-    put_u32(&mut out, ARCHIVE_VERSION);
-    put_u32(&mut out, 0); // reserved
-    put_u64(&mut out, payload.len() as u64);
-    put_u64(&mut out, fnv1a64(&payload));
-    out.extend_from_slice(&payload);
-    out
+    container::write(ARCHIVE_MAGIC, ARCHIVE_VERSION, |out| {
+        container::put_section(out, SECTION_SIGS, |out| {
+            put_u64(out, index.sigs.len() as u64);
+            for sig in &index.sigs {
+                put_sig(out, sig);
+            }
+        });
+        container::put_section(out, SECTION_NODES, |out| {
+            put_u64(out, index.nodes.len() as u64);
+            for node in &index.nodes {
+                put_node(out, node);
+            }
+        });
+    })
 }
 
 /// [`write_archive`] to a file.
 pub fn write_archive_file(
     index: &SignatureIndex,
-    path: impl AsRef<std::path::Path>,
-) -> Result<(), ArchiveError> {
-    std::fs::write(path.as_ref(), write_archive(index))
-        .map_err(|e| ArchiveError::Io(format!("{}: {e}", path.as_ref().display())))
+    path: impl AsRef<Path>,
+) -> Result<(), ContainerError> {
+    container::write_file(path.as_ref(), &write_archive(index))
 }
 
 // ---------------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked byte cursor with typed errors.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Cur<'a> {
-        Cur { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], ArchiveError> {
-        if self.remaining() < n {
-            return Err(ArchiveError::Truncated {
-                context,
-                needed: n,
-                available: self.remaining(),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, context: &'static str) -> Result<u8, ArchiveError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, ArchiveError> {
-        let b = self.take(4, context)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, ArchiveError> {
-        let b = self.take(8, context)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// A declared element count. Rejected when it exceeds the bytes left
-    /// (every element costs ≥ 1 byte), so hostile length fields cannot
-    /// drive huge allocations.
-    fn count(&mut self, context: &'static str) -> Result<usize, ArchiveError> {
-        let n = self.u64(context)?;
-        if n > self.remaining() as u64 {
-            return Err(ArchiveError::Truncated {
-                context,
-                needed: n as usize,
-                available: self.remaining(),
-            });
-        }
-        Ok(n as usize)
-    }
-
-    fn str(&mut self, context: &'static str) -> Result<String, ArchiveError> {
-        let n = self.count(context)?;
-        let bytes = self.take(n, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ArchiveError::BadUtf8 { context })
-    }
-}
-
-fn get_method(cur: &mut Cur<'_>) -> Result<HttpMethod, ArchiveError> {
+fn get_method(cur: &mut Reader<'_>) -> Result<HttpMethod, ContainerError> {
     match cur.u8("method")? {
         0 => Ok(HttpMethod::Get),
         1 => Ok(HttpMethod::Post),
         2 => Ok(HttpMethod::Put),
         3 => Ok(HttpMethod::Delete),
-        tag => Err(ArchiveError::BadTag { context: "method", tag }),
+        tag => Err(ContainerError::BadTag { context: "method", tag }),
     }
 }
 
-fn get_sigpat(cur: &mut Cur<'_>, depth: usize) -> Result<SigPat, ArchiveError> {
+fn get_sigpat(cur: &mut Reader<'_>, depth: usize) -> Result<SigPat, ContainerError> {
     if depth > MAX_PATTERN_DEPTH {
-        return Err(ArchiveError::TooDeep { context: "SigPat" });
+        return Err(ContainerError::TooDeep { context: "SigPat", limit: MAX_PATTERN_DEPTH });
     }
     match cur.u8("SigPat")? {
         0 => Ok(SigPat::Const(cur.str("SigPat::Const")?)),
@@ -457,10 +261,10 @@ fn get_sigpat(cur: &mut Cur<'_>, depth: usize) -> Result<SigPat, ArchiveError> {
             0 => Ok(SigPat::Unknown(TypeHint::Num)),
             1 => Ok(SigPat::Unknown(TypeHint::Bool)),
             2 => Ok(SigPat::Unknown(TypeHint::Str)),
-            tag => Err(ArchiveError::BadTag { context: "TypeHint", tag }),
+            tag => Err(ContainerError::BadTag { context: "TypeHint", tag }),
         },
         2 => {
-            let n = cur.count("SigPat::Concat")?;
+            let n = cur.count(1, "SigPat::Concat")?;
             let mut parts = Vec::with_capacity(n);
             for _ in 0..n {
                 parts.push(get_sigpat(cur, depth + 1)?);
@@ -469,7 +273,7 @@ fn get_sigpat(cur: &mut Cur<'_>, depth: usize) -> Result<SigPat, ArchiveError> {
         }
         3 => Ok(SigPat::Rep(Box::new(get_sigpat(cur, depth + 1)?))),
         4 => {
-            let n = cur.count("SigPat::Or")?;
+            let n = cur.count(1, "SigPat::Or")?;
             let mut arms = Vec::with_capacity(n);
             for _ in 0..n {
                 arms.push(get_sigpat(cur, depth + 1)?);
@@ -478,17 +282,17 @@ fn get_sigpat(cur: &mut Cur<'_>, depth: usize) -> Result<SigPat, ArchiveError> {
         }
         5 => Ok(SigPat::Json(get_jsonsig(cur, depth + 1)?)),
         6 => Ok(SigPat::Xml(Box::new(get_xmlsig(cur, depth + 1)?))),
-        tag => Err(ArchiveError::BadTag { context: "SigPat", tag }),
+        tag => Err(ContainerError::BadTag { context: "SigPat", tag }),
     }
 }
 
-fn get_jsonsig(cur: &mut Cur<'_>, depth: usize) -> Result<JsonSig, ArchiveError> {
+fn get_jsonsig(cur: &mut Reader<'_>, depth: usize) -> Result<JsonSig, ContainerError> {
     if depth > MAX_PATTERN_DEPTH {
-        return Err(ArchiveError::TooDeep { context: "JsonSig" });
+        return Err(ContainerError::TooDeep { context: "JsonSig", limit: MAX_PATTERN_DEPTH });
     }
     match cur.u8("JsonSig")? {
         0 => {
-            let n = cur.count("JsonSig::Object")?;
+            let n = cur.count(1, "JsonSig::Object")?;
             let mut map = std::collections::BTreeMap::new();
             for _ in 0..n {
                 let k = cur.str("JsonSig key")?;
@@ -499,22 +303,22 @@ fn get_jsonsig(cur: &mut Cur<'_>, depth: usize) -> Result<JsonSig, ArchiveError>
         1 => Ok(JsonSig::Array(Box::new(get_jsonsig(cur, depth + 1)?))),
         2 => Ok(JsonSig::Value(Box::new(get_sigpat(cur, depth + 1)?))),
         3 => Ok(JsonSig::Unknown),
-        tag => Err(ArchiveError::BadTag { context: "JsonSig", tag }),
+        tag => Err(ContainerError::BadTag { context: "JsonSig", tag }),
     }
 }
 
-fn get_xmlsig(cur: &mut Cur<'_>, depth: usize) -> Result<XmlSig, ArchiveError> {
+fn get_xmlsig(cur: &mut Reader<'_>, depth: usize) -> Result<XmlSig, ContainerError> {
     if depth > MAX_PATTERN_DEPTH {
-        return Err(ArchiveError::TooDeep { context: "XmlSig" });
+        return Err(ContainerError::TooDeep { context: "XmlSig", limit: MAX_PATTERN_DEPTH });
     }
     let name = cur.str("XmlSig name")?;
-    let n_attrs = cur.count("XmlSig attrs")?;
+    let n_attrs = cur.count(1, "XmlSig attrs")?;
     let mut attrs = Vec::with_capacity(n_attrs);
     for _ in 0..n_attrs {
         let k = cur.str("XmlSig attr key")?;
         attrs.push((k, get_sigpat(cur, depth + 1)?));
     }
-    let n_children = cur.count("XmlSig children")?;
+    let n_children = cur.count(1, "XmlSig children")?;
     let mut children = Vec::with_capacity(n_children);
     for _ in 0..n_children {
         children.push(get_xmlsig(cur, depth + 1)?);
@@ -522,15 +326,15 @@ fn get_xmlsig(cur: &mut Cur<'_>, depth: usize) -> Result<XmlSig, ArchiveError> {
     let text = match cur.u8("XmlSig text")? {
         0 => None,
         1 => Some(get_sigpat(cur, depth + 1)?),
-        tag => return Err(ArchiveError::BadTag { context: "XmlSig text", tag }),
+        tag => return Err(ContainerError::BadTag { context: "XmlSig text", tag }),
     };
     Ok(XmlSig { name, attrs, children, text })
 }
 
-fn get_bodysig(cur: &mut Cur<'_>) -> Result<BodySig, ArchiveError> {
+fn get_bodysig(cur: &mut Reader<'_>) -> Result<BodySig, ContainerError> {
     match cur.u8("BodySig")? {
         0 => {
-            let n = cur.count("BodySig::Form")?;
+            let n = cur.count(1, "BodySig::Form")?;
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {
                 let k = get_sigpat(cur, 0)?;
@@ -542,11 +346,11 @@ fn get_bodysig(cur: &mut Cur<'_>) -> Result<BodySig, ArchiveError> {
         1 => Ok(BodySig::Json(get_jsonsig(cur, 0)?)),
         2 => Ok(BodySig::Xml(get_xmlsig(cur, 0)?)),
         3 => Ok(BodySig::Text(get_sigpat(cur, 0)?)),
-        tag => Err(ArchiveError::BadTag { context: "BodySig", tag }),
+        tag => Err(ContainerError::BadTag { context: "BodySig", tag }),
     }
 }
 
-fn get_sig(cur: &mut Cur<'_>) -> Result<CompiledSig, ArchiveError> {
+fn get_sig(cur: &mut Reader<'_>) -> Result<CompiledSig, ContainerError> {
     let app = cur.str("sig app")?;
     let txn_id = cur.u64("sig txn_id")? as usize;
     let dp_class = cur.str("sig dp_class")?;
@@ -555,21 +359,21 @@ fn get_sig(cur: &mut Cur<'_>) -> Result<CompiledSig, ArchiveError> {
     let body = match cur.u8("sig body")? {
         0 => None,
         1 => Some(get_bodysig(cur)?),
-        tag => return Err(ArchiveError::BadTag { context: "sig body", tag }),
+        tag => return Err(ContainerError::BadTag { context: "sig body", tag }),
     };
     let prefix = cur.str("sig prefix")?;
     Ok(CompiledSig { app, txn_id, dp_class, method, uri, body, prefix })
 }
 
-fn get_node(cur: &mut Cur<'_>) -> Result<TrieNode, ArchiveError> {
-    let n_children = cur.count("node children")?;
+fn get_node(cur: &mut Reader<'_>) -> Result<TrieNode, ContainerError> {
+    let n_children = cur.count(1, "node children")?;
     let mut children = Vec::with_capacity(n_children);
     for _ in 0..n_children {
         let label = cur.u8("child label")?;
         let child = cur.u32("child index")?;
         children.push((label, child));
     }
-    let n_bucket = cur.count("node bucket")?;
+    let n_bucket = cur.count(1, "node bucket")?;
     let mut bucket = Vec::with_capacity(n_bucket);
     for _ in 0..n_bucket {
         bucket.push(cur.u32("bucket id")?);
@@ -577,61 +381,25 @@ fn get_node(cur: &mut Cur<'_>) -> Result<TrieNode, ArchiveError> {
     Ok(TrieNode { children, bucket })
 }
 
-fn expect_section<'a>(cur: &mut Cur<'a>, expected: u32) -> Result<Cur<'a>, ArchiveError> {
-    let found = cur.u32("section tag")?;
-    if found != expected {
-        return Err(ArchiveError::BadSection { found, expected });
-    }
-    let len = cur.count("section length")?;
-    Ok(Cur::new(cur.take(len, "section bytes")?))
-}
-
 /// Deserializes and validates archive bytes back into a
-/// [`SignatureIndex`]. Every failure mode is a typed [`ArchiveError`].
-pub fn read_archive(bytes: &[u8]) -> Result<SignatureIndex, ArchiveError> {
-    let mut cur = Cur::new(bytes);
-    let magic = cur.take(8, "magic")?;
-    if magic != ARCHIVE_MAGIC {
-        return Err(ArchiveError::BadMagic);
-    }
-    let version = cur.u32("version")?;
-    if version != ARCHIVE_VERSION {
-        return Err(ArchiveError::VersionMismatch { found: version, supported: ARCHIVE_VERSION });
-    }
-    let _reserved = cur.u32("reserved")?;
-    let payload_len = cur.u64("payload length")? as usize;
-    let expected_sum = cur.u64("payload checksum")?;
-    let payload = cur.take(payload_len, "payload")?;
-    if cur.remaining() > 0 {
-        return Err(ArchiveError::TrailingBytes { count: cur.remaining() });
-    }
-    let actual_sum = fnv1a64(payload);
-    if actual_sum != expected_sum {
-        return Err(ArchiveError::ChecksumMismatch { expected: expected_sum, actual: actual_sum });
-    }
-
-    let mut pcur = Cur::new(payload);
-    let mut sigs_cur = expect_section(&mut pcur, SECTION_SIGS)?;
-    let n_sigs = sigs_cur.count("signature count")?;
+/// [`SignatureIndex`]. Every failure mode is a typed [`ContainerError`].
+pub fn read_archive(bytes: &[u8]) -> Result<SignatureIndex, ContainerError> {
+    let mut payload = container::open(bytes, ARCHIVE_MAGIC, ARCHIVE_VERSION)?;
+    let mut cur = payload.section(SECTION_SIGS)?;
+    let n_sigs = cur.count(1, "signature count")?;
     let mut sigs = Vec::with_capacity(n_sigs);
     for _ in 0..n_sigs {
-        sigs.push(get_sig(&mut sigs_cur)?);
+        sigs.push(get_sig(&mut cur)?);
     }
-    if sigs_cur.remaining() > 0 {
-        return Err(ArchiveError::TrailingBytes { count: sigs_cur.remaining() });
-    }
-    let mut nodes_cur = expect_section(&mut pcur, SECTION_NODES)?;
-    let n_nodes = nodes_cur.count("node count")?;
+    cur.finish()?;
+    let mut cur = payload.section(SECTION_NODES)?;
+    let n_nodes = cur.count(1, "node count")?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
-        nodes.push(get_node(&mut nodes_cur)?);
+        nodes.push(get_node(&mut cur)?);
     }
-    if nodes_cur.remaining() > 0 {
-        return Err(ArchiveError::TrailingBytes { count: nodes_cur.remaining() });
-    }
-    if pcur.remaining() > 0 {
-        return Err(ArchiveError::TrailingBytes { count: pcur.remaining() });
-    }
+    cur.finish()?;
+    payload.finish()?;
 
     let index = SignatureIndex { sigs, nodes };
     validate_layout(&index)?;
@@ -639,19 +407,15 @@ pub fn read_archive(bytes: &[u8]) -> Result<SignatureIndex, ArchiveError> {
 }
 
 /// [`read_archive`] from a file.
-pub fn read_archive_file(
-    path: impl AsRef<std::path::Path>,
-) -> Result<SignatureIndex, ArchiveError> {
-    let bytes = std::fs::read(path.as_ref())
-        .map_err(|e| ArchiveError::Io(format!("{}: {e}", path.as_ref().display())))?;
-    read_archive(&bytes)
+pub fn read_archive_file(path: impl AsRef<Path>) -> Result<SignatureIndex, ContainerError> {
+    read_archive(&container::read_file(path.as_ref())?)
 }
 
 /// Structural validation of the decoded flat layouts — the guarantees
 /// [`SignatureIndex::classify`] relies on and a hostile or bit-rotted
 /// archive could otherwise violate.
-fn validate_layout(index: &SignatureIndex) -> Result<(), ArchiveError> {
-    let bad = |msg: String| Err(ArchiveError::Invalid(msg));
+fn validate_layout(index: &SignatureIndex) -> Result<(), ContainerError> {
+    let bad = |msg: String| Err(ContainerError::Invalid(msg));
     if index.nodes.is_empty() {
         return bad("no trie root".into());
     }
@@ -801,51 +565,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bad_magic_is_rejected() {
-        let mut bytes = write_archive(&small_index());
-        bytes[0] ^= 0xFF;
-        assert!(matches!(read_archive(&bytes), Err(ArchiveError::BadMagic)));
+    /// `write_archive(&small_index())`, pinned: any change to the codec's
+    /// output fails here.
+    const GOLDEN_HEX: &str = concat!(
+        "45585345525649580100000000000000bf020000000000002e2509a0316f2b06534947530d010000",
+        "000000000200000000000000040000000000000064656d6f00000000000000001a00000000000000",
+        "6a6176612e6e65742e4874747055524c436f6e6e656374696f6e00020300000000000000000d0000",
+        "0000000000687474703a2f2f682f6170692f0100030002000000000000002f78000d000000000000",
+        "00687474703a2f2f682f6170692f040000000000000064656d6f0100000000000000210000000000",
+        "00006f72672e6170616368652e687474702e636c69656e742e48747470436c69656e740100120000",
+        "0000000000687474703a2f2f682f6170692f6c6f67696e0101000100000000000000020000000000",
+        "000069640201001200000000000000687474703a2f2f682f6170692f6c6f67696e4e4f44459a0100",
+        "00000000001300000000000000010000000000000068010000000000000000000000010000000000",
+        "00007402000000000000000000000001000000000000007403000000000000000000000001000000",
+        "000000007004000000000000000000000001000000000000003a0500000000000000000000000100",
+        "0000000000002f06000000000000000000000001000000000000002f070000000000000000000000",
+        "01000000000000006808000000000000000000000001000000000000002f09000000000000000000",
+        "00000100000000000000610a00000000000000000000000100000000000000700b00000000000000",
+        "000000000100000000000000690c000000000000000000000001000000000000002f0d0000000000",
+        "00000000000001000000000000006c0e00000001000000000000000000000001000000000000006f",
+        "0f000000000000000000000001000000000000006710000000000000000000000001000000000000",
+        "006911000000000000000000000001000000000000006e1200000000000000000000000000000000",
+        "000000010000000000000001000000",
+    );
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
     #[test]
-    fn version_mismatch_is_rejected() {
-        let mut bytes = write_archive(&small_index());
-        bytes[8] = 99; // version field, LE low byte
-        assert!(matches!(
-            read_archive(&bytes),
-            Err(ArchiveError::VersionMismatch { found: 99, supported: ARCHIVE_VERSION })
-        ));
+    fn small_index_archive_matches_the_golden_bytes() {
+        assert_eq!(hex(&write_archive(&small_index())), GOLDEN_HEX);
     }
 
     #[test]
-    fn corrupted_payload_fails_the_checksum() {
-        let mut bytes = write_archive(&small_index());
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        match read_archive(&bytes) {
-            Err(ArchiveError::ChecksumMismatch { .. }) => {}
-            other => panic!("expected ChecksumMismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncation_is_a_typed_error_at_every_cut() {
-        let bytes = write_archive(&small_index());
-        // Any strict prefix must fail with a typed error, never panic.
-        for cut in 0..bytes.len() {
-            match read_archive(&bytes[..cut]) {
-                Err(_) => {}
-                Ok(_) => panic!("truncated archive ({cut}/{} bytes) loaded", bytes.len()),
-            }
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut bytes = write_archive(&small_index());
-        bytes.push(0x00);
-        assert!(matches!(read_archive(&bytes), Err(ArchiveError::TrailingBytes { count: 1 })));
+    fn hostile_input_sweep() {
+        // Payload offsets of u64 counts: the SIGS section length, the
+        // signature count, and the first signature's app-name length.
+        container::hostile_input_sweep(&write_archive(&small_index()), &[4, 12, 20], read_archive);
     }
 
     #[test]
@@ -854,31 +611,6 @@ mod tests {
         let loaded = read_archive(&write_archive(&index)).expect("load");
         assert!(loaded.is_empty());
         assert_eq!(loaded.trie_nodes(), 1);
-    }
-
-    #[test]
-    fn hostile_count_fields_cannot_drive_allocation() {
-        // A declared element count larger than the remaining payload is
-        // rejected before any allocation happens.
-        let index = small_index();
-        let mut bytes = write_archive(&index);
-        // The signature-count u64 sits right after the SIGS section
-        // header (32-byte file header + 4-byte tag + 8-byte length).
-        let count_at = 32 + 4 + 8;
-        bytes[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        match read_archive(&bytes) {
-            // Checksum catches the mutation first unless recomputed.
-            Err(ArchiveError::ChecksumMismatch { .. }) => {}
-            other => panic!("expected typed rejection, got {other:?}"),
-        }
-        // Recompute the checksum so the count field itself is exercised.
-        let payload_start = 32;
-        let sum = fnv1a64(&bytes[payload_start..]);
-        bytes[24..32].copy_from_slice(&sum.to_le_bytes());
-        match read_archive(&bytes) {
-            Err(ArchiveError::Truncated { .. }) => {}
-            other => panic!("expected Truncated, got {other:?}"),
-        }
     }
 
     #[test]
@@ -892,7 +624,7 @@ mod tests {
         }
         let bytes = write_archive(&broken);
         match read_archive(&bytes) {
-            Err(ArchiveError::Invalid(msg)) => {
+            Err(ContainerError::Invalid(msg)) => {
                 assert!(msg.contains("missing from every trie bucket"), "{msg}");
             }
             other => panic!("expected Invalid, got {other:?}"),

@@ -43,7 +43,7 @@
 //! compiled archive through a four-phase state machine:
 //!
 //! 1. **Load** — decode + structurally validate the archive
-//!    ([`read_archive`]); any [`ArchiveError`] aborts the swap with the
+//!    ([`read_archive`]); any [`ContainerError`] aborts the swap with the
 //!    old index untouched.
 //! 2. **Verify** — re-serialize the loaded index and require the bytes
 //!    to equal the input archive. Deterministic serialization makes this
@@ -59,9 +59,10 @@
 //! Failures in phases 1–2 are typed [`SwapError`]s and leave the old
 //! index serving; the daemon never serves a partially-loaded index.
 
-use crate::archive::{read_archive, write_archive, ArchiveError};
+use crate::archive::{read_archive, write_archive};
 use crate::index::{SignatureIndex, Verdict};
 use extractocol_dynamic::parse_request_line;
+use extractocol_ir::container::{self, ContainerError};
 use extractocol_ir::hash::fnv1a64;
 use extractocol_obs::metrics::LATENCY_US_BUCKETS;
 use extractocol_obs::{
@@ -104,7 +105,7 @@ impl Default for DaemonConfig {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SwapError {
     /// Phase 1: the archive failed to decode or validate.
-    Load(ArchiveError),
+    Load(ContainerError),
     /// Phase 2: the loaded index did not re-serialize to the input
     /// bytes — decode was lossy, so the archive cannot be trusted.
     Verify(String),
@@ -556,14 +557,14 @@ impl Daemon {
     /// Hot-swaps to the archive at `path` (phases: load → verify →
     /// swap → drain; see the module docs).
     pub fn swap_from_file(&self, path: &str) -> Result<SwapOutcome, SwapError> {
-        let bytes = std::fs::read(path).map_err(|e| {
+        let bytes = container::read_file(std::path::Path::new(path)).map_err(|e| {
             self.set_last_swap("refused:load");
             self.events
                 .error("daemon", "swap refused: archive unreadable")
                 .field("path", path)
                 .field("error", e.to_string())
                 .emit();
-            SwapError::Load(ArchiveError::Io(format!("{path}: {e}")))
+            SwapError::Load(e)
         })?;
         self.swap_archive_bytes(&bytes)
     }
@@ -660,23 +661,8 @@ impl Daemon {
     /// a `SHUTDOWN` arrives.
     pub fn run_lines<R: BufRead, W: Write>(&self, reader: R, mut writer: W) -> io::Result<()> {
         for line in reader.lines() {
-            match self.process_line(&line?) {
-                Reply::Empty => {}
-                Reply::Line(r) => {
-                    writeln!(writer, "{r}")?;
-                    writer.flush()?;
-                }
-                Reply::Lines(block) => {
-                    for r in block {
-                        writeln!(writer, "{r}")?;
-                    }
-                    writer.flush()?;
-                }
-                Reply::Bye(r) => {
-                    writeln!(writer, "{r}")?;
-                    writer.flush()?;
-                    break;
-                }
+            if write_reply(&mut writer, &self.process_line(&line?))? {
+                break;
             }
         }
         Ok(())
@@ -733,29 +719,14 @@ impl Daemon {
                 Ok(_) => {
                     let reply = self.process_line_ctx(&line, conn_id, &seq);
                     line.clear();
-                    match reply {
-                        Reply::Empty => {}
-                        Reply::Line(r) => {
-                            if writeln!(writer, "{r}").and_then(|_| writer.flush()).is_err() {
-                                break;
-                            }
-                        }
-                        Reply::Lines(block) => {
-                            let write_block = |w: &mut BufWriter<TcpStream>| -> io::Result<()> {
-                                for r in &block {
-                                    writeln!(w, "{r}")?;
-                                }
-                                w.flush()
-                            };
-                            if write_block(&mut writer).is_err() {
-                                break;
-                            }
-                        }
-                        Reply::Bye(r) => {
-                            let _ = writeln!(writer, "{r}").and_then(|_| writer.flush());
-                            shutdown.store(true, Ordering::SeqCst);
-                            break;
-                        }
+                    // A failed write closes the connection; `Bye` shuts the
+                    // daemon down whether or not its reply got through.
+                    let close = write_reply(&mut writer, &reply).unwrap_or(true);
+                    if matches!(reply, Reply::Bye(_)) {
+                        shutdown.store(true, Ordering::SeqCst);
+                    }
+                    if close {
+                        break;
                     }
                 }
                 Err(e)
@@ -775,6 +746,22 @@ impl Daemon {
             .field("requests", seq.load(Ordering::Relaxed))
             .emit();
     }
+}
+
+/// Writes one reply and flushes once. Returns whether the connection
+/// closes after it (`Bye`); `Empty` writes nothing.
+fn write_reply(w: &mut impl Write, reply: &Reply) -> io::Result<bool> {
+    match reply {
+        Reply::Empty => return Ok(false),
+        Reply::Line(r) | Reply::Bye(r) => writeln!(w, "{r}")?,
+        Reply::Lines(block) => {
+            for r in block {
+                writeln!(w, "{r}")?;
+            }
+        }
+    }
+    w.flush()?;
+    Ok(matches!(reply, Reply::Bye(_)))
 }
 
 /// True when `header` is a block-frame header (`…\tlines=N\t…`);
@@ -1084,7 +1071,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         match d.swap_archive_bytes(&bytes) {
-            Err(SwapError::Load(ArchiveError::ChecksumMismatch { .. })) => {}
+            Err(SwapError::Load(ContainerError::ChecksumMismatch { .. })) => {}
             other => panic!("expected load failure, got {other:?}"),
         }
         assert_eq!(d.generation(), 1);

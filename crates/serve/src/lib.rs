@@ -37,14 +37,13 @@ pub mod daemon;
 pub mod index;
 pub mod metrics;
 
-pub use archive::{
-    read_archive, read_archive_file, write_archive, write_archive_file, ArchiveError,
-};
+pub use archive::{read_archive, read_archive_file, write_archive, write_archive_file};
 pub use bench::{AttackBenchReport, AttackClassTally, BenchReport, ObservedBench};
 pub use classify::{classify_batch, classify_batch_observed, ClassifyStats};
 pub use daemon::{
     scrape, send_lines, trace_id_for, Daemon, DaemonConfig, DaemonMetrics, Reply, SwapError,
     SwapOutcome,
 };
+pub use extractocol_ir::container::ContainerError;
 pub use index::{CompiledSig, Probe, SignatureIndex, Verdict};
 pub use metrics::{AttackMetrics, ServeMetrics};

@@ -5,7 +5,8 @@
 //! pipeline at any worker count.
 
 use extractocol_core::{AnalysisReport, Extractocol, Options};
-use extractocol_incr::archive::{self, SummaryArchiveError};
+use extractocol_incr::archive;
+use extractocol_ir::container::ContainerError;
 use extractocol_ir::{Apk, Const, Expr, Stmt, Value};
 use std::path::PathBuf;
 
@@ -161,28 +162,22 @@ fn hostile_archives_are_refused_and_run_cold() {
     corrupt[last] ^= 0xFF;
     assert!(matches!(
         archive::read_archive(&corrupt),
-        Err(SummaryArchiveError::ChecksumMismatch { .. })
+        Err(ContainerError::ChecksumMismatch { .. })
     ));
 
     // Future format version → version mismatch (bytes 8..12 of the header).
     let mut skewed = bytes.clone();
     skewed[8] = skewed[8].wrapping_add(1);
-    assert!(matches!(
-        archive::read_archive(&skewed),
-        Err(SummaryArchiveError::VersionMismatch { .. })
-    ));
+    assert!(matches!(archive::read_archive(&skewed), Err(ContainerError::VersionMismatch { .. })));
 
     // Severed file → truncation, not a panic.
     assert!(archive::read_archive(&bytes[..bytes.len() / 2]).is_err());
-    assert!(matches!(
-        archive::read_archive(&bytes[..7]),
-        Err(SummaryArchiveError::Truncated { .. })
-    ));
+    assert!(matches!(archive::read_archive(&bytes[..7]), Err(ContainerError::Truncated { .. })));
 
     // Wrong magic.
     let mut magic = bytes.clone();
     magic[0] = b'X';
-    assert!(matches!(archive::read_archive(&magic), Err(SummaryArchiveError::BadMagic)));
+    assert!(matches!(archive::read_archive(&magic), Err(ContainerError::BadMagic)));
 
     // Pipeline-level: a trashed cache file degrades to a cold run with the
     // error recorded, and the report is unaffected.

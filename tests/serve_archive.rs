@@ -8,11 +8,9 @@
 //!   JSON-compiled index it was written from (verdicts *and* probe
 //!   counters).
 //! * **Typed rejection** — corruption, truncation at any byte, and
-//!   version skew are refused with typed `ArchiveError`s, never panics.
-//! * **CLI round trip** — `compile --out` then `classify --index`
-//!   reproduces source-compiled verdicts through the binary surface.
+//!   version skew are refused with typed `ContainerError`s, never panics.
 
-use extractocol_serve::{read_archive, write_archive, ArchiveError, SignatureIndex};
+use extractocol_serve::{read_archive, write_archive, ContainerError, SignatureIndex};
 
 fn corpus_reports() -> Vec<extractocol_core::report::AnalysisReport> {
     extractocol_corpus::all_apps()
@@ -77,7 +75,7 @@ fn corrupted_and_truncated_corpus_archives_are_refused_with_typed_errors() {
     skewed[8] = 0x7F;
     assert!(matches!(
         read_archive(&skewed),
-        Err(ArchiveError::VersionMismatch { found: 0x7F, .. })
+        Err(ContainerError::VersionMismatch { found: 0x7F, .. })
     ));
 
     // Single-bit corruption anywhere in the payload fails the checksum.
@@ -85,7 +83,7 @@ fn corrupted_and_truncated_corpus_archives_are_refused_with_typed_errors() {
         let mut corrupt = bytes.clone();
         corrupt[at] ^= 0x20;
         assert!(
-            matches!(read_archive(&corrupt), Err(ArchiveError::ChecksumMismatch { .. })),
+            matches!(read_archive(&corrupt), Err(ContainerError::ChecksumMismatch { .. })),
             "corruption at byte {at} not caught"
         );
     }
@@ -98,61 +96,4 @@ fn corrupted_and_truncated_corpus_archives_are_refused_with_typed_errors() {
             Ok(_) => panic!("truncated archive loaded at cut {cut}/{}", bytes.len()),
         }
     }
-}
-
-#[test]
-fn serve_cli_compile_then_classify_index_round_trips() {
-    let mut bin = std::env::current_exe().expect("test exe path");
-    bin.pop(); // deps/
-    bin.pop(); // debug|release/
-    bin.push(format!("extractocol-serve{}", std::env::consts::EXE_SUFFIX));
-
-    let tmp = std::env::temp_dir();
-    let archive = tmp.join(format!("extractocol-archive-cli-{}.exsv", std::process::id()));
-    let traffic = tmp.join(format!("extractocol-archive-cli-{}.txt", std::process::id()));
-    let app = extractocol_corpus::app("radio reddit").expect("corpus app");
-    let trace = extractocol_dynamic::run_perfect_fuzzer(&app);
-    std::fs::write(&traffic, trace.to_request_text()).unwrap();
-
-    let out = std::process::Command::new(&bin)
-        .args(["compile", "--app", "radio reddit", "--out"])
-        .arg(&archive)
-        .output()
-        .expect("run compile");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("compiled"), "compile output");
-
-    let out = std::process::Command::new(&bin)
-        .args(["classify", "--index"])
-        .arg(&archive)
-        .arg("--traffic")
-        .arg(&traffic)
-        .output()
-        .expect("run classify --index");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("-> radio reddit #"), "{stdout}");
-    assert!(stdout.contains("unmatched:         0"), "{stdout}");
-
-    // A corrupted archive is refused with the typed error on stderr.
-    let mut bytes = std::fs::read(&archive).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xFF;
-    std::fs::write(&archive, &bytes).unwrap();
-    let out = std::process::Command::new(&bin)
-        .args(["classify", "--index"])
-        .arg(&archive)
-        .arg("--traffic")
-        .arg(&traffic)
-        .output()
-        .expect("run classify --index (corrupt)");
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("checksum"),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let _ = std::fs::remove_file(&archive);
-    let _ = std::fs::remove_file(&traffic);
 }
