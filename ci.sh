@@ -12,6 +12,9 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> rustdoc: no broken or ambiguous intra-doc links"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

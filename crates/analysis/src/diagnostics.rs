@@ -110,25 +110,16 @@ fn is_reflective(callee: &MethodRef) -> bool {
             && matches!(callee.name.as_str(), "forName" | "newInstance" | "getMethod"))
 }
 
-/// Runs every lint over the program. `pts` is the solved points-to result
-/// when the pipeline ran with devirtualization (enables the
-/// empty-points-to lint); `model_covers` reports whether the semantic
-/// API-flow model knows a given bodyless callee (the `stubs.rs` /
-/// `semantics.rs` coverage question, answered by the caller because the
-/// model lives a crate above this one).
-pub fn lint(
-    prog: &ProgramIndex<'_>,
-    graph: &CallGraph,
-    pts: Option<&PointsTo>,
-    model_covers: &dyn Fn(&MethodRef) -> bool,
-) -> LintReport {
-    lint_scoped(prog, graph, pts, model_covers, None)
-}
-
-/// Like [`lint`], restricted to an analysis scope: only methods in the set
-/// are visited (the targeted mode's cone — lints for never-analyzed code
-/// would be noise, and visiting it would defeat the point of targeting).
-/// `None` lints the whole program.
+/// Runs every lint over the program, or over an analysis scope. `pts` is
+/// the solved points-to result when the pipeline ran with
+/// devirtualization (enables the empty-points-to lint); `model_covers`
+/// reports whether the semantic API-flow model knows a given bodyless
+/// callee (the `stubs.rs` / `semantics.rs` coverage question, answered by
+/// the caller because the model lives a crate above this one).
+///
+/// With `scope`, only methods in the set are visited (the targeted mode's
+/// cone — lints for never-analyzed code would be noise, and visiting it
+/// would defeat the point of targeting). `None` lints the whole program.
 pub fn lint_scoped(
     prog: &ProgramIndex<'_>,
     graph: &CallGraph,
@@ -238,7 +229,7 @@ mod tests {
             Some(p) => CallGraph::build_with_pointsto(&prog, &CallbackRegistry::empty(), p),
             None => CallGraph::build(&prog, &CallbackRegistry::empty()),
         };
-        lint(&prog, &graph, pts.as_ref(), &|_| false)
+        lint_scoped(&prog, &graph, pts.as_ref(), &|_| false, None)
     }
 
     #[test]

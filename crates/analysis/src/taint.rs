@@ -297,26 +297,19 @@ impl<'p, 'g, 'm> TaintEngine<'p, 'g, 'm> {
         model: &'m (dyn ApiFlowModel + Sync),
         options: TaintOptions,
     ) -> Self {
-        Self::with_pointsto(prog, graph, model, options, None)
+        Self::with_scope(prog, graph, model, options, None, None)
     }
 
-    /// Like [`TaintEngine::new`], with alias information from a solved
-    /// points-to analysis. Virtual/interface call transfer then consults
-    /// the receiver's points-to set and skips CHA targets no reaching
-    /// allocation site can dispatch to; empty sets keep every target
-    /// (conservative fallback). Results are deterministic either way.
-    pub fn with_pointsto(
-        prog: &'p ProgramIndex<'p>,
-        graph: &'g CallGraph,
-        model: &'m (dyn ApiFlowModel + Sync),
-        options: TaintOptions,
-        pts: Option<&'g PointsTo>,
-    ) -> Self {
-        Self::with_scope(prog, graph, model, options, pts, None)
-    }
-
-    /// Like [`TaintEngine::with_pointsto`], restricted to an analysis
-    /// scope. When `scope` is `Some`, only methods in the set get CFGs and
+    /// Like [`TaintEngine::new`], with optional alias information and an
+    /// optional analysis scope.
+    ///
+    /// With `pts` (a solved points-to analysis), virtual/interface call
+    /// transfer consults the receiver's points-to set and skips CHA
+    /// targets no reaching allocation site can dispatch to; empty sets
+    /// keep every target (conservative fallback). Results are
+    /// deterministic either way.
+    ///
+    /// When `scope` is `Some`, only methods in the set get CFGs and
     /// static-field index entries — methods outside the scope are never
     /// visited (the targeted mode's cone). `None` is whole-program.
     pub fn with_scope(

@@ -1,11 +1,11 @@
-//! Observability overhead (ISSUE 5 acceptance bar: ≤ 10% with tracing
-//! off-by-default). Three configurations per app:
+//! Observability overhead (acceptance bar: ≤ 10% with tracing
+//! off-by-default). Two configurations per app:
 //!
-//! * `plain`    — `analyze`, no collector anywhere near the run,
-//! * `trace=off` — `analyze_traced` with a *disabled* collector: every
-//!   span site costs exactly one `Option` branch,
-//! * `trace=on`  — `analyze_traced` with an enabled collector: the real
-//!   cost of recording the full span tree.
+//! * `trace=off` — `analyze` with the default, *disabled* collector: every
+//!   span site costs exactly one `Option` branch, and each phase guard one
+//!   timestamp pair,
+//! * `trace=on`  — `analyze` after `set_instruments` attached an enabled
+//!   collector: the real cost of recording the full span tree.
 //!
 //! Plus the serving side: `classify_batch` vs `classify_batch_observed`
 //! (instruments always on, trace off) — the cost of the per-request
@@ -13,31 +13,25 @@
 //! gate keeps its timed batch on the uninstrumented path.
 
 use extractocol_bench::timing;
-use extractocol_core::{Extractocol, Options, TraceCollector};
+use extractocol_core::{EventLog, Extractocol, Options, TraceCollector};
 use extractocol_serve::{classify_batch, classify_batch_observed, ServeMetrics, SignatureIndex};
 
 fn main() {
     println!("== trace_overhead (pipeline) ==");
     for name in ["radio reddit", "TED", "Pinterest"] {
         let app = extractocol_corpus::app(name).expect("corpus app");
-        let analyzer = Extractocol::with_options(Options { jobs: 1, ..Options::default() });
-        let plain =
-            timing::bench(&format!("analyze/{name} plain"), 1, 10, || analyzer.analyze(&app.apk));
-        let disabled = TraceCollector::disabled();
+        let mut analyzer = Extractocol::with_options(Options { jobs: 1, ..Options::default() });
         let off = timing::bench(&format!("analyze/{name} trace=off"), 1, 10, || {
-            analyzer.analyze_traced(&app.apk, &disabled)
+            analyzer.analyze(&app.apk)
         });
         let enabled = TraceCollector::enabled();
+        analyzer.set_instruments(enabled.clone(), EventLog::disabled());
         let on = timing::bench(&format!("analyze/{name} trace=on"), 1, 10, || {
-            let r = analyzer.analyze_traced(&app.apk, &enabled);
+            let r = analyzer.analyze(&app.apk);
             enabled.drain();
             r
         });
-        println!(
-            "  -> overhead: trace=off {:+.1}%  trace=on {:+.1}%\n",
-            100.0 * (off.speedup_over(&plain) - 1.0),
-            100.0 * (on.speedup_over(&plain) - 1.0),
-        );
+        println!("  -> overhead: trace=on {:+.1}%\n", 100.0 * (on.speedup_over(&off) - 1.0));
     }
 
     println!("== trace_overhead (serving) ==");

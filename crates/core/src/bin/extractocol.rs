@@ -20,7 +20,7 @@
 //! extractocol app.jimple --log-out events.log --log-level debug  # + phases
 //! extractocol app.jimple --targeted     # demand-driven cone analysis
 //! extractocol app.jimple --summary-cache-path app.exsm  # persistent summaries
-//! extractocol app.jimple --no-incremental  # ignore the summary cache
+//! extractocol app.jimple --no-incremental  # clear the summary-cache path
 //! ```
 
 use extractocol_core::slicing::SliceOptions;
@@ -51,6 +51,7 @@ fn main() -> ExitCode {
     let mut log_out: Option<String> = None;
     let mut log_level = Level::Info;
     let mut trace_summary = false;
+    let mut no_incremental = false;
     let mut opts = Options::default();
     let mut slice = SliceOptions::default();
 
@@ -84,7 +85,7 @@ fn main() -> ExitCode {
             "--no-pointsto" => opts.pointsto = false,
             "--pointsto" => opts.pointsto = true,
             "--targeted" => opts.targeted = true,
-            "--no-incremental" => opts.incremental = false,
+            "--no-incremental" => no_incremental = true,
             "--summary-cache-path" => match it.next() {
                 Some(p) => opts.summary_cache_path = Some(p.into()),
                 None => return usage(),
@@ -117,6 +118,9 @@ fn main() -> ExitCode {
     }
     let Some(path) = path else { return usage() };
     opts.slice = slice;
+    if no_incremental {
+        opts.summary_cache_path = None;
+    }
 
     let src = match std::fs::read_to_string(&path) {
         Ok(s) => s,
@@ -161,8 +165,8 @@ fn main() -> ExitCode {
     } else {
         EventLog::disabled()
     };
-    analyzer.set_event_log(events);
-    let report = analyzer.analyze_traced(&apk, &trace);
+    analyzer.set_instruments(trace.clone(), events);
+    let report = analyzer.analyze(&apk);
     let spans = trace.drain();
     if let Some(out) = &trace_out {
         let json = extractocol_obs::chrome_trace_json(&spans);

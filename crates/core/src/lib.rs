@@ -42,7 +42,7 @@ pub mod slicing;
 pub mod stubs;
 
 pub use extractocol_obs::{EventLog, Level, SinkFormat, TraceCollector};
-pub use metrics::{CacheStats, DpSliceMetrics, Metrics, PhaseTimings};
+pub use metrics::{CacheStats, DpSliceMetrics, Metrics, PhaseGuard, PhaseTimings};
 pub use pipeline::{Extractocol, Options};
 pub use report::AnalysisReport;
 pub use semantics::{ApiOp, SemanticModel};

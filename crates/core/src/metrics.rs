@@ -6,8 +6,8 @@
 
 pub use extractocol_analysis::CacheStats;
 pub use extractocol_analysis::{LintReport, PtsStats};
-use extractocol_obs::{Registry, Volatility};
-use std::time::Duration;
+use extractocol_obs::{AttrValue, Registry, SpanGuard, TraceCollector, Volatility};
+use std::time::{Duration, Instant};
 
 /// Wall-clock time of each pipeline phase (Fig. 2's boxes, plus the
 /// validation and serving phases bolted on since). `total()` always sums
@@ -49,23 +49,61 @@ pub struct PhaseTimings {
 
 impl PhaseTimings {
     /// Every `(phase name, duration)` pair, in pipeline order. The single
-    /// source of truth for `total()`, the registry export, and the CLI
-    /// timing tables — a new slot only has to be added here.
+    /// source of truth for `total()`, the registry export, the CLI timing
+    /// tables, and the names [`PhaseTimings::phase`] accepts.
     pub fn slots(&self) -> [(&'static str, Duration); 12] {
+        let mut copy = *self;
+        copy.slots_mut().map(|(name, d)| (name, *d))
+    }
+
+    /// The slot table behind [`PhaseTimings::slots`], by mutable reference.
+    fn slots_mut(&mut self) -> [(&'static str, &mut Duration); 12] {
         [
-            ("deobfuscation", self.deobfuscation),
-            ("indexing", self.indexing),
-            ("demarcation", self.demarcation),
-            ("targeted", self.targeted),
-            ("incremental", self.incremental),
-            ("slicing", self.slicing),
-            ("pairing", self.pairing),
-            ("signatures", self.signatures),
-            ("dependencies", self.dependencies),
-            ("conformance", self.conformance),
-            ("serve_compile", self.serve_compile),
-            ("serve_classify", self.serve_classify),
+            ("deobfuscation", &mut self.deobfuscation),
+            ("indexing", &mut self.indexing),
+            ("demarcation", &mut self.demarcation),
+            ("targeted", &mut self.targeted),
+            ("incremental", &mut self.incremental),
+            ("slicing", &mut self.slicing),
+            ("pairing", &mut self.pairing),
+            ("signatures", &mut self.signatures),
+            ("dependencies", &mut self.dependencies),
+            ("conformance", &mut self.conformance),
+            ("serve_compile", &mut self.serve_compile),
+            ("serve_classify", &mut self.serve_classify),
         ]
+    }
+
+    /// Opens phase `name`: a `phase` span of that name in `trace`, whose
+    /// wall time is added to the slot of the same name when the guard
+    /// drops. The one clock for a phase — the span and the slot cannot
+    /// disagree on its name or its window. With a disabled collector the
+    /// guard costs one timestamp pair and no allocation.
+    ///
+    /// Panics when `name` is not one of [`PhaseTimings::slots`].
+    pub fn phase(&mut self, trace: &TraceCollector, name: &'static str) -> PhaseGuard<'_> {
+        self.open(trace.span_in("phase", name), name)
+    }
+
+    /// Like [`PhaseTimings::phase`] for a `step` span `name` whose time is
+    /// charged to the phase slot `slot` (e.g. the summary-cache save,
+    /// which runs after slicing but belongs to `incremental`).
+    pub fn step(
+        &mut self,
+        trace: &TraceCollector,
+        name: &'static str,
+        slot: &'static str,
+    ) -> PhaseGuard<'_> {
+        self.open(trace.span_in("step", name), slot)
+    }
+
+    fn open(&mut self, span: SpanGuard, slot: &str) -> PhaseGuard<'_> {
+        let slot = self
+            .slots_mut()
+            .into_iter()
+            .find_map(|(name, d)| (name == slot).then_some(d))
+            .unwrap_or_else(|| panic!("no PhaseTimings slot named {slot:?}"));
+        PhaseGuard { slot, started: Instant::now(), span }
     }
 
     /// Sum of all phase times (every slot, including conformance and the
@@ -86,6 +124,29 @@ impl PhaseTimings {
         }
         let _ = writeln!(out, "  {:<14} {:>10.3}ms", "total", self.total().as_secs_f64() * 1e3);
         out
+    }
+}
+
+/// An open phase (see [`PhaseTimings::phase`]). On drop it adds its
+/// elapsed time to its slot, then closes its span.
+pub struct PhaseGuard<'a> {
+    slot: &'a mut Duration,
+    started: Instant,
+    span: SpanGuard,
+}
+
+impl PhaseGuard<'_> {
+    /// Attaches a typed attribute to the phase span (no-op when the
+    /// collector is disabled).
+    pub fn attr(&mut self, key: &str, value: impl Into<AttrValue>) -> &mut Self {
+        self.span.attr(key, value);
+        self
+    }
+}
+
+impl Drop for PhaseGuard<'_> {
+    fn drop(&mut self) {
+        *self.slot += self.started.elapsed();
     }
 }
 
@@ -364,6 +425,33 @@ mod tests {
         assert!(text.contains("targeted"), "{text}");
         assert!(text.contains("incremental"), "{text}");
         assert!(text.contains("total"), "{text}");
+    }
+
+    #[test]
+    fn phase_guard_charges_its_slot_and_records_its_span() {
+        let trace = TraceCollector::enabled();
+        let mut t = PhaseTimings::default();
+        {
+            let mut g = t.phase(&trace, "pairing");
+            g.attr("transactions", 3usize);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(t.step(&trace, "incremental_save", "incremental"));
+        assert!(t.pairing >= Duration::from_millis(1));
+        let charged: Vec<_> = t.slots().into_iter().filter(|(_, d)| !d.is_zero()).collect();
+        assert_eq!(charged.iter().map(|(n, _)| *n).collect::<Vec<_>>(), ["incremental", "pairing"]);
+        let spans: Vec<_> =
+            trace.drain().into_iter().map(|r| (r.cat, r.name, r.attrs.len())).collect();
+        assert_eq!(
+            spans,
+            [("phase".into(), "pairing".into(), 1), ("step".into(), "incremental_save".into(), 0)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no PhaseTimings slot")]
+    fn phase_guard_rejects_unknown_names() {
+        PhaseTimings::default().phase(&TraceCollector::disabled(), "parsing");
     }
 
     #[test]

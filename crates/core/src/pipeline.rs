@@ -53,14 +53,10 @@ pub struct Options {
     /// (counted in `Metrics::targeted`); the report stays byte-identical
     /// to the whole-program run.
     pub targeted: bool,
-    /// Use the persistent summary cache at [`Options::summary_cache_path`]
-    /// (no effect when the path is unset). Off is the ablation baseline:
-    /// the path is neither read nor written.
-    pub incremental: bool,
-    /// Location of the `.exsm` persistent summary-cache archive. When set
-    /// (and `incremental` is on), still-valid summaries from a previous
-    /// run are preloaded before slicing and the final summary set is
-    /// written back afterwards.
+    /// Location of the `.exsm` persistent summary-cache archive. When set,
+    /// still-valid summaries from a previous run are preloaded before
+    /// slicing and the final summary set is written back afterwards.
+    /// Unset is the non-incremental ablation baseline.
     pub summary_cache_path: Option<std::path::PathBuf>,
 }
 
@@ -73,7 +69,6 @@ impl Default for Options {
             jobs: 0,
             pointsto: true,
             targeted: false,
-            incremental: true,
             summary_cache_path: None,
         }
     }
@@ -85,6 +80,7 @@ pub struct Extractocol {
     model: SemanticModel,
     registry: CallbackRegistry,
     options: Options,
+    trace: TraceCollector,
     events: EventLog,
 }
 
@@ -106,15 +102,20 @@ impl Extractocol {
             model: SemanticModel::standard(),
             registry: CallbackRegistry::android_defaults(),
             options,
+            trace: TraceCollector::disabled(),
             events: EventLog::disabled(),
         }
     }
 
-    /// Attaches a structured event log; the pipeline emits a run-start
-    /// record, one per-phase timing record, and a run-finished record
-    /// into it (see `extractocol --log-out`). The default is a disabled
-    /// log, which makes every emission a no-op.
-    pub fn set_event_log(&mut self, events: EventLog) {
+    /// Attaches the run's instruments. Into `trace` each pipeline phase
+    /// records a `phase` span, each demarcation point a nested `dp` span,
+    /// and each transaction a `txn` span (see `extractocol --trace-out`).
+    /// Into `events` the pipeline emits a run-start record, one per-phase
+    /// timing record, and a run-finished record (see `extractocol
+    /// --log-out`). Both default to disabled, which makes every span and
+    /// emission a branch.
+    pub fn set_instruments(&mut self, trace: TraceCollector, events: EventLog) {
+        self.trace = trace;
         self.events = events;
     }
 
@@ -140,16 +141,11 @@ impl Extractocol {
     /// for every `jobs` setting (results are merged in DP order and the
     /// shared method-summary cache only memoizes order-independent
     /// closures).
+    ///
+    /// Each phase is timed once, by a [`PhaseTimings::phase`] guard that
+    /// feeds both the `phase` span and `Metrics::phases`.
     pub fn analyze(&self, apk: &Apk) -> AnalysisReport {
-        self.analyze_traced(apk, &TraceCollector::disabled())
-    }
-
-    /// [`Extractocol::analyze`] with span-tree tracing: each pipeline
-    /// phase becomes a `phase` span, each demarcation point a nested `dp`
-    /// span, and each transaction a `txn` span, recorded into `trace`
-    /// (see `extractocol --trace-out`). With a disabled collector this is
-    /// exactly `analyze` — the guards compile to a branch.
-    pub fn analyze_traced(&self, apk: &Apk, trace: &TraceCollector) -> AnalysisReport {
+        let trace = &self.trace;
         let started = Instant::now();
         let mut phases = PhaseTimings::default();
         let jobs = par::resolve_jobs(self.options.jobs);
@@ -162,9 +158,8 @@ impl Extractocol {
             .emit();
 
         // §3.4: map obfuscated bundled libraries back to canonical names.
-        let t = Instant::now();
         let (apk, deobfuscated_classes) = {
-            let mut span = trace.span_in("phase", "deobfuscation");
+            let mut span = phases.phase(trace, "deobfuscation");
             let out = if self.options.deobfuscate_libraries {
                 let map = deobf::infer_library_map(apk, &stubs::library_reference());
                 let n = map.classes.len();
@@ -175,10 +170,8 @@ impl Extractocol {
             span.attr("deobfuscated_classes", out.1);
             out
         };
-        phases.deobfuscation = t.elapsed();
 
-        let t = Instant::now();
-        let mut span = trace.span_in("phase", "indexing");
+        let mut span = phases.phase(trace, "indexing");
         let prog = ProgramIndex::new(&apk);
         // Targeted mode defers points-to until the cone is known; the
         // whole-program solve only runs here in untargeted mode.
@@ -198,11 +191,9 @@ impl Extractocol {
             span.attr("allocation_sites", s.allocs).attr("pts_propagations", s.propagations);
         }
         drop(span);
-        phases.indexing = t.elapsed();
 
         // Phase 1: demarcation points.
-        let t = Instant::now();
-        let mut span = trace.span_in("phase", "demarcation");
+        let mut span = phases.phase(trace, "demarcation");
         let mut sites = demarcation::scan(&prog, &self.model);
         if let Some(prefix) = &self.options.scope_prefix {
             sites.retain(|s| prog.class(s.method.class).name.starts_with(prefix.as_str()));
@@ -212,7 +203,6 @@ impl Extractocol {
         }
         span.attr("dp_sites", sites.len());
         drop(span);
-        phases.demarcation = t.elapsed();
 
         // Targeted mode: close the DP-site methods under every coupling
         // the downstream analyses traverse, then re-solve points-to and
@@ -221,8 +211,7 @@ impl Extractocol {
         let mut cone: Option<HashSet<MethodId>> = None;
         let mut targeted_stats: Option<TargetedStats> = None;
         if self.options.targeted {
-            let t = Instant::now();
-            let mut span = trace.span_in("phase", "targeted");
+            let mut span = phases.phase(trace, "targeted");
             let mut seen = HashSet::new();
             let roots: Vec<MethodId> =
                 sites.iter().map(|s| s.method).filter(|m| seen.insert(*m)).collect();
@@ -238,7 +227,6 @@ impl Extractocol {
                 .attr("skipped_classes", stats.skipped_classes);
             targeted_stats = Some(stats);
             cone = Some(c);
-            phases.targeted = t.elapsed();
         }
 
         // Precision diagnostics (surfaced via `extractocol --lints`),
@@ -275,14 +263,12 @@ impl Extractocol {
             pointsto: self.options.pointsto,
             targeted: self.options.targeted,
         };
-        let cache_path =
-            self.options.incremental.then(|| self.options.summary_cache_path.clone()).flatten();
+        let cache_path = &self.options.summary_cache_path;
         let mut incr_stats: Option<IncrStats> = None;
         let mut preloaded_keys = HashSet::new();
         let mut fingerprints = None;
-        if let Some(path) = &cache_path {
-            let t = Instant::now();
-            let mut span = trace.span_in("phase", "incremental");
+        if let Some(path) = cache_path {
+            let mut span = phases.phase(trace, "incremental");
             let fp =
                 extractocol_incr::validity::fingerprints(&prog, &graph, &engine, cone.as_ref());
             let outcome = extractocol_incr::load_into_engine(path, &epoch, &prog, &fp, &engine);
@@ -290,11 +276,9 @@ impl Extractocol {
             incr_stats = Some(outcome.stats);
             preloaded_keys = outcome.preloaded_keys;
             fingerprints = Some(fp);
-            phases.incremental = t.elapsed();
         }
 
-        let t = Instant::now();
-        let mut span = trace.span_in("phase", "slicing");
+        let mut span = phases.phase(trace, "slicing");
         let slices = slicing::slice_all_on(
             &engine,
             &prog,
@@ -308,15 +292,13 @@ impl Extractocol {
         let cache = engine.cache_stats();
         span.attr("cache_hits", cache.hits).attr("cache_misses", cache.misses);
         drop(span);
-        phases.slicing = t.elapsed();
 
         // Write the final summary set back (also on cold runs and after a
         // refused load — the next run warms up either way).
         if let (Some(path), Some(stats), Some(fp)) =
-            (&cache_path, incr_stats.as_mut(), fingerprints.as_ref())
+            (cache_path, incr_stats.as_mut(), fingerprints.as_ref())
         {
-            let t = Instant::now();
-            let _s = trace.span_in("step", "incremental_save");
+            let _s = phases.step(trace, "incremental_save", "incremental");
             let exports = engine.export_summaries();
             let total = cone.as_ref().map_or_else(|| prog.concrete_methods().count(), HashSet::len);
             extractocol_incr::finish_stats(stats, &exports, &preloaded_keys, total);
@@ -326,22 +308,18 @@ impl Extractocol {
                 stats.saved = 0;
                 stats.save_error = Some(e.to_string());
             }
-            phases.incremental += t.elapsed();
         }
 
         // Phase 3a: request/response pairing via disjoint sub-slices.
-        let t = Instant::now();
-        let mut span = trace.span_in("phase", "pairing");
+        let mut span = phases.phase(trace, "pairing");
         let txns = pairing::pair(&prog, &graph, &slices);
         span.attr("transactions", txns.len());
         drop(span);
-        phases.pairing = t.elapsed();
 
         // Phase 2: per-transaction signature extraction. Each transaction
         // is independent (the builder is constructed per call), so the
         // same fan-out applies; input order is preserved.
-        let t = Instant::now();
-        let sig_span = trace.span_in("phase", "signatures");
+        let sig_span = phases.phase(trace, "signatures");
         let reports: Vec<TxnReport> = par::parallel_map(&txns, self.options.jobs, |_, t| {
             let mut span = trace.span_in("txn", format!("txn:{}", t.id));
             if span.is_recording() {
@@ -401,15 +379,12 @@ impl Extractocol {
             }
         });
         drop(sig_span);
-        phases.signatures = t.elapsed();
 
         // Phase 3b: inter-transaction dependencies.
-        let t = Instant::now();
-        let mut span = trace.span_in("phase", "dependencies");
+        let mut span = phases.phase(trace, "dependencies");
         let dependencies = interdep::dependencies(&prog, &self.model, &slices, &txns);
         span.attr("edges", dependencies.len());
         drop(span);
-        phases.dependencies = t.elapsed();
 
         let per_dp: Vec<DpSliceMetrics> = slices
             .iter()

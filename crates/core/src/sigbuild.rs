@@ -277,20 +277,11 @@ pub struct SignatureBuilder<'a> {
 }
 
 impl<'a> SignatureBuilder<'a> {
-    /// Extracts the signatures for one DP's slices (all roots merged).
-    pub fn extract(
-        prog: &'a ProgramIndex<'a>,
-        model: &'a SemanticModel,
-        graph: &'a CallGraph,
-        slice: &'a SliceSet,
-    ) -> DpSignatures {
-        Self::extract_scoped(prog, model, graph, slice, &[], !slice.response_slice.is_empty())
-    }
-
     /// Extracts signatures for one transaction candidate of a shared DP:
-    /// the other candidates' root methods are excluded from evaluation, so
-    /// the captured request reflects only this candidate's paths (the
-    /// per-transaction split behind Fig. 5).
+    /// the other candidates' root methods (`excluded_entries`) are
+    /// excluded from evaluation, so the captured request reflects only
+    /// this candidate's paths (the per-transaction split behind Fig. 5).
+    /// With no exclusions, all of the DP's roots are merged.
     pub fn extract_scoped(
         prog: &'a ProgramIndex<'a>,
         model: &'a SemanticModel,
@@ -1590,7 +1581,13 @@ mod tests {
         let graph = CallGraph::build(&prog, &CallbackRegistry::android_defaults());
         let sites = demarcation::scan(&prog, &model);
         let slices = slice_all(&prog, &graph, &model, &sites, &SliceOptions::default());
-        slices.iter().map(|s| SignatureBuilder::extract(&prog, &model, &graph, s)).collect()
+        slices
+            .iter()
+            .map(|s| {
+                let has_response = !s.response_slice.is_empty();
+                SignatureBuilder::extract_scoped(&prog, &model, &graph, s, &[], has_response)
+            })
+            .collect()
     }
 
     /// URI built by StringBuilder with branches: the diode-like shape.

@@ -20,10 +20,10 @@ use crate::demarcation::DpSite;
 use crate::flowmodel::SemanticFlowModel;
 use crate::semantics::{DpResponseLoc, SemanticModel};
 use extractocol_analysis::{
-    AccessPath, CacheStats, CallGraph, Direction, PointsTo, Seed, TaintEngine, TaintOptions,
-    TaintReport,
+    AccessPath, CallGraph, Direction, PointsTo, Seed, TaintEngine, TaintOptions, TaintReport,
 };
 use extractocol_ir::{Expr, Local, MethodId, Place, ProgramIndex, Stmt, Value};
+use extractocol_obs::TraceCollector;
 use std::collections::HashSet;
 
 /// Options for the slicing phase.
@@ -94,7 +94,8 @@ impl SliceStats {
     }
 }
 
-/// Runs bidirectional slicing for every DP site, sequentially.
+/// Runs bidirectional slicing for every DP site, sequentially, over a
+/// fresh whole-program [`TaintEngine`] without points-to information.
 pub fn slice_all(
     prog: &ProgramIndex<'_>,
     graph: &CallGraph,
@@ -102,72 +103,35 @@ pub fn slice_all(
     sites: &[DpSite],
     opts: &SliceOptions,
 ) -> Vec<SliceSet> {
-    slice_all_with(prog, graph, model, sites, opts, 1, None).0
-}
-
-/// Runs bidirectional slicing for every DP site, fanning independent DPs
-/// across up to `jobs` worker threads (`0` = one per core, `1` =
-/// sequential). One [`TaintEngine`] — and therefore one method-summary
-/// cache — is shared by every worker, so helper methods reached from
-/// several DPs are analyzed once; the returned [`CacheStats`] quantifies
-/// that sharing. Results are ordered by DP site regardless of `jobs`.
-///
-/// With `pts`, the engine consults alias information (narrowed virtual
-/// transfer), the §3.4 async heuristic only bridges field cells whose
-/// base objects may alias, and augmentation seeds initialization contexts
-/// from allocation sites.
-pub fn slice_all_with(
-    prog: &ProgramIndex<'_>,
-    graph: &CallGraph,
-    model: &SemanticModel,
-    sites: &[DpSite],
-    opts: &SliceOptions,
-    jobs: usize,
-    pts: Option<&PointsTo>,
-) -> (Vec<SliceSet>, CacheStats) {
-    slice_all_traced(
-        prog,
-        graph,
-        model,
-        sites,
-        opts,
-        jobs,
-        pts,
-        &extractocol_obs::TraceCollector::disabled(),
-    )
-}
-
-/// [`slice_all_with`], recording one `dp` span per demarcation point into
-/// `trace` (attributes: `dp_id`, `method`, slice sizes, summary-cache
-/// delta). Worker threads record into the same collector; with `jobs <=
-/// 1` the spans nest under the caller's open `phase:slicing` span.
-#[allow(clippy::too_many_arguments)]
-pub fn slice_all_traced(
-    prog: &ProgramIndex<'_>,
-    graph: &CallGraph,
-    model: &SemanticModel,
-    sites: &[DpSite],
-    opts: &SliceOptions,
-    jobs: usize,
-    pts: Option<&PointsTo>,
-    trace: &extractocol_obs::TraceCollector,
-) -> (Vec<SliceSet>, CacheStats) {
     let flow_model = SemanticFlowModel::new(model, prog);
-    let engine = TaintEngine::with_pointsto(
+    let engine = TaintEngine::new(
         prog,
         graph,
         &flow_model,
         TaintOptions { max_field_depth: opts.max_field_depth, ..TaintOptions::default() },
-        pts,
     );
-    let sets = slice_all_on(&engine, prog, graph, sites, opts, jobs, pts, trace);
-    (sets, engine.cache_stats())
+    slice_all_on(&engine, prog, graph, sites, opts, 1, None, &TraceCollector::disabled())
 }
 
-/// [`slice_all_traced`] over a caller-owned [`TaintEngine`] — the hook the
-/// incremental pipeline uses to preload persisted summaries before slicing
-/// and export the final summary set afterwards. The engine must have been
-/// built over `prog`/`graph` with the same `pts` and field depth.
+/// Runs bidirectional slicing for every DP site over a caller-owned
+/// [`TaintEngine`], fanning independent DPs across up to `jobs` worker
+/// threads (`0` = one per core, `1` = sequential). The engine — and
+/// therefore its method-summary cache — is shared by every worker, so
+/// helper methods reached from several DPs are analyzed once
+/// ([`TaintEngine::cache_stats`] quantifies that sharing). Owning the
+/// engine lets the incremental pipeline preload persisted summaries
+/// before slicing and export the final summary set afterwards. Results
+/// are ordered by DP site regardless of `jobs`.
+///
+/// The engine must have been built over `prog`/`graph` with the same
+/// `pts` and field depth. With `pts`, the §3.4 async heuristic only
+/// bridges field cells whose base objects may alias, and augmentation
+/// seeds initialization contexts from allocation sites.
+///
+/// Records one `dp` span per demarcation point into `trace` (attributes:
+/// `dp_id`, `method`, slice sizes, summary-cache delta). Worker threads
+/// record into the same collector; with `jobs <= 1` the spans nest under
+/// the caller's open `phase:slicing` span.
 #[allow(clippy::too_many_arguments)]
 pub fn slice_all_on(
     engine: &TaintEngine<'_, '_, '_>,
@@ -177,7 +141,7 @@ pub fn slice_all_on(
     opts: &SliceOptions,
     jobs: usize,
     pts: Option<&PointsTo>,
-    trace: &extractocol_obs::TraceCollector,
+    trace: &TraceCollector,
 ) -> Vec<SliceSet> {
     crate::par::parallel_map(sites, jobs, |_, dp| {
         let mut span = trace.span_in("dp", format!("dp:{}", dp.id));

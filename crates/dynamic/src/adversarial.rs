@@ -10,7 +10,7 @@
 //! (and the property suite in `tests/adversarial.rs` enforces):
 //!
 //! * **total parsing** — every line yields a request or a structured
-//!   [`TraceParseError`](crate::trace::TraceParseError), never a panic;
+//!   [`TraceParseError`], never a panic;
 //! * **bounded work** — regex and body matching run under step budgets,
 //!   so a probe can exhaust its budget but not the CPU;
 //! * **deterministic verdicts** — the same line gets the same verdict on

@@ -64,7 +64,7 @@ fn main() -> ExitCode {
     let mut log_level = Level::Info;
     let mut report_out: Option<String> = None;
     let mut targeted = false;
-    let mut incremental = true;
+    let mut no_incremental = false;
     let mut cache_dir: Option<String> = None;
 
     let mut it = args.into_iter();
@@ -74,7 +74,7 @@ fn main() -> ExitCode {
             "--conformance-mutate" => mutate = true,
             "--timings" => timings = true,
             "--targeted" => targeted = true,
-            "--no-incremental" => incremental = false,
+            "--no-incremental" => no_incremental = true,
             "--summary-cache-dir" => match it.next() {
                 Some(d) => cache_dir = Some(d),
                 None => return usage(),
@@ -125,6 +125,9 @@ fn main() -> ExitCode {
     }
     if conformance == mutate {
         return usage();
+    }
+    if no_incremental {
+        cache_dir = None;
     }
 
     let mut apps = extractocol_corpus::all_apps();
@@ -177,8 +180,8 @@ fn main() -> ExitCode {
             let cfg = EvalConfig {
                 jobs,
                 targeted,
-                incremental,
                 summary_cache_path: cache_dir.as_ref().map(|d| cache_file(d, &app.truth.name)),
+                ..EvalConfig::default()
             };
             let (report, conf) = conformance_check_with(app, &cfg, &trace);
             print!("{}", conf.to_text());

@@ -9,7 +9,7 @@
 use crate::fuzz::run_perfect_fuzzer;
 use extractocol_core::conformance::{check, ConformanceReport};
 use extractocol_core::report::AnalysisReport;
-use extractocol_core::{Extractocol, Options, TraceCollector};
+use extractocol_core::{EventLog, Extractocol, Options, TraceCollector};
 use extractocol_corpus::AppSpec;
 use extractocol_ir::rng::Rng;
 use extractocol_ir::{Apk, Const, Expr, Place, Stmt, Value};
@@ -22,7 +22,8 @@ pub struct EvalConfig {
     pub jobs: usize,
     /// Demand-driven cone analysis (`Options::targeted`).
     pub targeted: bool,
-    /// Honor `summary_cache_path` (`Options::incremental`).
+    /// Honor `summary_cache_path`; off runs without the persistent cache
+    /// (the path is neither read nor written).
     pub incremental: bool,
     /// Persistent `.exsm` summary-cache location for this app.
     pub summary_cache_path: Option<std::path::PathBuf>,
@@ -45,21 +46,11 @@ impl EvalConfig {
 /// Analyzes one app with the evaluation options (paper §5.1: the async
 /// heuristic is disabled for open-source apps) at the given worker count.
 pub fn analyze_app(apk: &Apk, open_source: bool, jobs: usize) -> AnalysisReport {
-    analyze_app_traced(apk, open_source, jobs, &TraceCollector::disabled())
-}
-
-/// [`analyze_app`] recording pipeline spans into `trace`.
-pub fn analyze_app_traced(
-    apk: &Apk,
-    open_source: bool,
-    jobs: usize,
-    trace: &TraceCollector,
-) -> AnalysisReport {
-    analyze_app_with(apk, open_source, &EvalConfig::with_jobs(jobs), trace)
+    analyze_app_with(apk, open_source, &EvalConfig::with_jobs(jobs), &TraceCollector::disabled())
 }
 
 /// [`analyze_app`] under a full [`EvalConfig`] (targeted mode, persistent
-/// summary cache).
+/// summary cache), recording pipeline spans into `trace`.
 pub fn analyze_app_with(
     apk: &Apk,
     open_source: bool,
@@ -73,34 +64,27 @@ pub fn analyze_app_with(
         },
         jobs: cfg.jobs,
         targeted: cfg.targeted,
-        incremental: cfg.incremental,
-        summary_cache_path: cfg.summary_cache_path.clone(),
+        summary_cache_path: cfg.summary_cache_path.clone().filter(|_| cfg.incremental),
         ..Options::default()
     };
-    Extractocol::with_options(opts).analyze_traced(apk, trace)
+    let mut analyzer = Extractocol::with_options(opts);
+    analyzer.set_instruments(trace.clone(), EventLog::disabled());
+    analyzer.analyze(apk)
 }
 
 /// Runs the oracle for one app: static report vs. perfect-fuzzer trace.
 /// The conformance result is also attached to `report.metrics`.
 pub fn conformance_check(app: &AppSpec, jobs: usize) -> (AnalysisReport, ConformanceReport) {
-    conformance_check_traced(app, jobs, &TraceCollector::disabled())
+    conformance_check_with(app, &EvalConfig::with_jobs(jobs), &TraceCollector::disabled())
 }
 
-/// [`conformance_check`] recording spans into `trace` (one `app` span per
-/// app, `phase` spans for the fuzzer run and the oracle check) and
-/// filling [`PhaseTimings::conformance`] — without it `total()`
-/// under-reports an end-to-end evaluation run.
+/// [`conformance_check`] under a full [`EvalConfig`], recording spans into
+/// `trace` (one `app` span per app, `phase` spans for the fuzzer run and
+/// the oracle check) and filling the `conformance` slot of
+/// [`PhaseTimings`] — without it `total()` under-reports an end-to-end
+/// evaluation run.
 ///
-/// [`PhaseTimings::conformance`]: extractocol_core::PhaseTimings
-pub fn conformance_check_traced(
-    app: &AppSpec,
-    jobs: usize,
-    trace: &TraceCollector,
-) -> (AnalysisReport, ConformanceReport) {
-    conformance_check_with(app, &EvalConfig::with_jobs(jobs), trace)
-}
-
-/// [`conformance_check_traced`] under a full [`EvalConfig`].
+/// [`PhaseTimings`]: extractocol_core::PhaseTimings
 pub fn conformance_check_with(
     app: &AppSpec,
     cfg: &EvalConfig,
@@ -113,23 +97,18 @@ pub fn conformance_check_with(
         let _s = trace.span_in("phase", "perfect_fuzzer");
         run_perfect_fuzzer(app)
     };
-    let t = std::time::Instant::now();
+    let mut phases = report.metrics.phases;
     let conf = {
-        let mut s = trace.span_in("phase", "conformance");
+        let mut s = phases.phase(trace, "conformance");
         let conf = check(&report, &dyn_trace.transactions);
         s.attr("signatures_checked", conf.signatures_checked)
             .attr("messages_checked", conf.messages_checked)
             .attr("diags", conf.diags.len());
         conf
     };
-    report.metrics.phases.conformance = t.elapsed();
+    report.metrics.phases = phases;
     report.metrics.conformance = Some(conf.clone());
     (report, conf)
-}
-
-/// Runs the oracle over a set of apps, in corpus order.
-pub fn conformance_all(apps: &[AppSpec], jobs: usize) -> Vec<ConformanceReport> {
-    apps.iter().map(|a| conformance_check(a, jobs).1).collect()
 }
 
 // ---------------------------------------------------------------------------

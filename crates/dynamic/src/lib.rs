@@ -32,7 +32,7 @@ pub mod replay;
 pub mod trace;
 
 pub use adversarial::{generate_attacks, AdversarialConfig, AttackCase, AttackClass};
-pub use conformance::{conformance_all, conformance_check, mutation_self_test, MutationSummary};
+pub use conformance::{conformance_check, mutation_self_test, MutationSummary};
 pub use fuzz::{run_auto_fuzzer, run_manual_fuzzer, run_perfect_fuzzer};
 pub use interp::{Interpreter, RtError};
 pub use trace::{parse_request_line, TraceParseError, TraceParseErrorKind, TrafficTrace};

@@ -221,7 +221,7 @@ impl TrafficTrace {
     /// traffic source format of `extractocol-serve classify --traffic`;
     /// responses are deliberately not serialized — classification is a
     /// request-side workload. The URI and body fields are escaped
-    /// ([`escape_field`]) so tabs/newlines/CRs in free-text bodies or
+    /// (`escape_field`) so tabs/newlines/CRs in free-text bodies or
     /// hostile URIs cannot break the framing; binary bodies serialize as
     /// their byte length.
     pub fn to_request_text(&self) -> String {

@@ -18,7 +18,7 @@
 //! * a ProGuard-style [obfuscator](obfuscate) used to reproduce the paper's
 //!   obfuscation experiments (§3.4, §5.1),
 //! * a structural [validator](validate) used throughout the test suite,
-//! * the binary [container](container) codec shared by the on-disk
+//! * the binary [container] codec shared by the on-disk
 //!   archive formats.
 //!
 //! The IR intentionally mirrors Jimple's statement forms (assignments with a

@@ -23,7 +23,7 @@
 //! * [`log`] — the structured event log: leveled key=value / JSON-line
 //!   records in a fixed-capacity deterministic ring buffer with an
 //!   optional streaming file sink and a dropped-records counter.
-//! * [`diff`] — snapshot diffing for `extractocol-obs-diff`: parses
+//! * [`diff`](mod@diff) — snapshot diffing for `extractocol-obs-diff`: parses
 //!   Prometheus-text and `BENCH_*.json` snapshots, compares the
 //!   deterministic family exactly and the per-run family against
 //!   relative thresholds.

@@ -109,23 +109,6 @@ pub fn tile_requests(base: &[Request], n: usize) -> Vec<Request> {
     base.iter().cycle().take(n).cloned().collect()
 }
 
-/// Runs the benchmark: compiles the corpus index (timing the rebuild and
-/// the archive-load path for comparison), classifies `requests_n` tiled
-/// fuzzer requests on `jobs` workers taking the best of `iterations`
-/// timed batches, and samples single-request latency over (up to) 10k
-/// requests.
-pub fn run(requests_n: usize, jobs: usize, iterations: usize) -> BenchReport {
-    let t_rebuild = Instant::now();
-    let reports = corpus_reports(jobs);
-    let index = SignatureIndex::compile(&reports);
-    let rebuild_secs = t_rebuild.elapsed().as_secs_f64();
-    let base = corpus_requests();
-    let requests = tile_requests(&base, requests_n);
-    let mut report = bench_index(&index, &requests, jobs, iterations);
-    fill_archive_timings(&index, rebuild_secs, &mut report);
-    report
-}
-
 /// Times the persistent-index path against the rebuild the caller just
 /// paid: serialize, then measure decode+validate of the archive bytes.
 fn fill_archive_timings(index: &SignatureIndex, rebuild_secs: f64, report: &mut BenchReport) {
@@ -140,7 +123,8 @@ fn fill_archive_timings(index: &SignatureIndex, rebuild_secs: f64, report: &mut 
         if archive_load_secs > 0.0 { rebuild_secs / archive_load_secs } else { f64::INFINITY };
 }
 
-/// [`run`] plus the instrument bundle behind `bench --metrics-out`.
+/// Result of [`run`]: the throughput report plus the instrument bundle
+/// behind `bench --metrics-out`.
 #[derive(Clone)]
 pub struct ObservedBench {
     /// The throughput report from the *uninstrumented* timed batch — the
@@ -154,45 +138,37 @@ pub struct ObservedBench {
     pub phases: PhaseTimings,
 }
 
-/// Runs the benchmark with instruments: the timed batch stays on the
-/// uninstrumented fast path (so throughput numbers are comparable to the
-/// baseline), then an instrumented pass over the same requests fills the
-/// latency/candidate-fraction histograms, shard telemetry, and the
-/// `serve_compile`/`serve_classify` [`PhaseTimings`] slots.
-pub fn run_observed(
-    requests_n: usize,
-    jobs: usize,
-    iterations: usize,
-    trace: &TraceCollector,
-) -> ObservedBench {
+/// Runs the benchmark: compiles the corpus index (timing the rebuild and
+/// the archive-load path for comparison), classifies `requests_n` tiled
+/// fuzzer requests on `jobs` workers taking the best of `iterations`
+/// timed batches, and samples single-request latency over (up to) 10k
+/// requests. The timed batch stays on the uninstrumented fast path (so
+/// throughput numbers are comparable to the baseline); an instrumented
+/// pass over the same requests then fills the latency/candidate-fraction
+/// histograms, shard telemetry, and the `serve_compile`/`serve_classify`
+/// [`PhaseTimings`] slots.
+pub fn run(requests_n: usize, jobs: usize, iterations: usize) -> ObservedBench {
     let metrics = ServeMetrics::new();
     let mut phases = PhaseTimings::default();
+    let trace = &TraceCollector::disabled();
 
     let t_rebuild = Instant::now();
     let reports = corpus_reports(jobs);
-    let t = Instant::now();
     let index = {
-        let mut s = trace.span_in("phase", "serve_compile");
-        let index = SignatureIndex::compile(&reports);
-        s.attr("signatures", index.len()).attr("trie_nodes", index.trie_nodes());
-        index
+        let _phase = phases.phase(trace, "serve_compile");
+        SignatureIndex::compile(&reports)
     };
-    phases.serve_compile = t.elapsed();
     let rebuild_secs = t_rebuild.elapsed().as_secs_f64();
     let base = corpus_requests();
     let requests = tile_requests(&base, requests_n);
 
     let mut report = bench_index(&index, &requests, jobs, iterations);
     fill_archive_timings(&index, rebuild_secs, &mut report);
-    let report = report;
 
-    let t = Instant::now();
     {
-        let mut s = trace.span_in("phase", "serve_classify");
-        s.attr("requests", requests.len()).attr("jobs", jobs);
+        let _phase = phases.phase(trace, "serve_classify");
         classify_batch_observed(&index, &requests, jobs, &metrics, trace);
     }
-    phases.serve_classify = t.elapsed();
     metrics.observe_phases(phases.serve_compile, phases.serve_classify);
     ObservedBench { report, metrics, phases }
 }
@@ -314,22 +290,16 @@ impl AttackBenchReport {
     }
 }
 
-/// Runs the adversarial bench: compiles the corpus index, generates the
-/// seeded attack suite over real fuzzer traffic as base material, then
-/// parses + classifies every case sequentially (timing each), filling
-/// the [`AttackMetrics`](crate::metrics::AttackMetrics) families on the
+/// Runs the adversarial bench against `index` (compiled from the corpus,
+/// or loaded from an archive via `attack --index`): generates the seeded
+/// attack suite over real fuzzer traffic as base material, then parses +
+/// classifies every case sequentially (timing each), filling the
+/// [`AttackMetrics`](crate::metrics::AttackMetrics) families on the
 /// returned [`ServeMetrics`] registry. A spread subsample of parsed
 /// cases is re-classified through the brute-force path; any verdict
 /// disagreement is reported (and must fail the caller).
-pub fn run_attack(seed: u64, per_class: usize, jobs: usize) -> (AttackBenchReport, ServeMetrics) {
-    let reports = corpus_reports(jobs);
-    run_attack_on(SignatureIndex::compile(&reports), seed, per_class)
-}
-
-/// [`run_attack`] against a caller-supplied index (e.g. one loaded from
-/// a compiled archive via `attack --index`).
-pub fn run_attack_on(
-    index: SignatureIndex,
+pub fn run_attack(
+    index: &SignatureIndex,
     seed: u64,
     per_class: usize,
 ) -> (AttackBenchReport, ServeMetrics) {

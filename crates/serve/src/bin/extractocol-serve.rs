@@ -686,13 +686,14 @@ fn cmd_attack(args: Vec<String>) -> ExitCode {
         }
     }
 
-    let (report, metrics) = match &index_path {
+    let index = match &index_path {
         Some(path) => match load_index(path) {
-            Ok(index) => serve_bench::run_attack_on(index, seed, per_class),
+            Ok(index) => index,
             Err(code) => return code,
         },
-        None => serve_bench::run_attack(seed, per_class, jobs),
+        None => SignatureIndex::compile(&serve_bench::corpus_reports(jobs)),
     };
+    let (report, metrics) = serve_bench::run_attack(&index, seed, per_class);
 
     if let Some(path) = &metrics_out {
         if let Err(e) = std::fs::write(path, metrics.registry.render()) {
@@ -790,21 +791,18 @@ fn cmd_bench(args: Vec<String>) -> ExitCode {
         }
     }
 
-    // With --metrics-out the run adds an instrumented pass (latency
-    // histograms, candidate-fraction distribution, shard imbalance); the
-    // timed batch behind the throughput numbers stays uninstrumented.
-    let report = if let Some(path) = &metrics_out {
-        let observed =
-            serve_bench::run_observed(requests, jobs, iterations, &TraceCollector::disabled());
+    // --metrics-out writes the instrumented pass (latency histograms,
+    // candidate-fraction distribution, shard imbalance); the timed batch
+    // behind the throughput numbers stays uninstrumented.
+    let observed = serve_bench::run(requests, jobs, iterations);
+    if let Some(path) = &metrics_out {
         if let Err(e) = std::fs::write(path, observed.metrics.registry.render()) {
             eprintln!("extractocol-serve: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
         print!("{}", observed.phases.to_text());
-        observed.report
-    } else {
-        serve_bench::run(requests, jobs, iterations)
-    };
+    }
+    let report = observed.report;
     let json = report.to_json().to_json();
     println!(
         "classified {} requests against {} signatures: {:.0} req/s best of {} \

@@ -23,7 +23,7 @@
 //! superset of all possibly-matching signatures. Only the survivors reach
 //! the structural matcher ([`SigPat::matches_budgeted`]) and, for requests
 //! carrying a body against a body-constrained signature, the tree-sig
-//! check ([`request_body_matches`]).
+//! check ([`request_body_matches_budgeted`]).
 //!
 //! # Determinism
 //!

@@ -15,7 +15,7 @@
 //! * [`classify`] — batch classification on the `core::par` worker pool
 //!   with fixed-size shards and order-independent stat merging, so
 //!   results are byte-identical across `jobs` settings.
-//! * [`bench`] — the corpus-driven throughput benchmark behind
+//! * [`bench`](mod@bench) — the corpus-driven throughput benchmark behind
 //!   `extractocol-serve bench` and CI's `BENCH_classify.json` gate.
 //! * [`metrics`] — the serving-side instrument bundle ([`ServeMetrics`]):
 //!   verdict counters, the candidate-fraction distribution,

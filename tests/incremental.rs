@@ -4,7 +4,8 @@
 //! byte-identity of targeted/incremental runs with the cold whole-program
 //! pipeline at any worker count.
 
-use extractocol_core::{AnalysisReport, Extractocol, Options};
+use extractocol_core::{AnalysisReport, Extractocol, Options, TraceCollector};
+use extractocol_dynamic::conformance::{analyze_app_with, EvalConfig};
 use extractocol_incr::archive;
 use extractocol_ir::container::ContainerError;
 use extractocol_ir::{Apk, Const, Expr, Stmt, Value};
@@ -251,13 +252,13 @@ fn no_incremental_ignores_the_cache_path() {
     let app = extractocol_corpus::app("radio reddit").unwrap();
     let dir = tmp_dir("ablate");
     let path = dir.join("app.exsm");
-    let o = Options {
+    let cfg = EvalConfig {
+        jobs: 1,
         incremental: false,
         summary_cache_path: Some(path.clone()),
-        jobs: 1,
-        ..Options::default()
+        ..EvalConfig::default()
     };
-    let r = analyze(&app.apk, o);
+    let r = analyze_app_with(&app.apk, app.truth.open_source, &cfg, &TraceCollector::disabled());
     assert!(r.metrics.incr.is_none());
     assert!(!path.exists(), "ablated run must not write the archive");
 }

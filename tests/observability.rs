@@ -5,7 +5,7 @@
 //! *deterministic* metrics snapshot is byte-identical across worker
 //! counts — instrumentation must never make `--jobs` observable.
 
-use extractocol_core::{Extractocol, Options, TraceCollector};
+use extractocol_core::{EventLog, Extractocol, Options, TraceCollector};
 use extractocol_obs::{
     chrome_trace_json, collapsed_stacks, validate_chrome_trace, SpanRecord, Volatility,
 };
@@ -23,8 +23,9 @@ fn traced_analyze(
     jobs: usize,
 ) -> (extractocol_core::AnalysisReport, Vec<SpanRecord>) {
     let trace = TraceCollector::enabled();
-    let report = Extractocol::with_options(Options { jobs, ..Options::default() })
-        .analyze_traced(&app.apk, &trace);
+    let mut analyzer = Extractocol::with_options(Options { jobs, ..Options::default() });
+    analyzer.set_instruments(trace.clone(), EventLog::disabled());
+    let report = analyzer.analyze(&app.apk);
     let spans = trace.drain();
     assert_eq!(trace.dropped(), 0, "{}: collector capacity exceeded", app.truth.name);
     (report, spans)
@@ -58,6 +59,60 @@ fn chrome_trace_round_trips_with_phase_dp_nesting() {
                 app.truth.name
             );
         }
+    }
+}
+
+/// One clock per phase: every `phase` span of a run has a nonzero
+/// `PhaseTimings` slot of the same name and vice versa, and no slot holds
+/// more time than the spans charged to it.
+#[test]
+fn phase_spans_and_phase_slots_are_one_clock() {
+    use extractocol_dynamic::conformance::{analyze_app_with, EvalConfig};
+    let app = extractocol_corpus::app("radio reddit").expect("corpus app");
+    let dir = std::env::temp_dir().join(format!("one_clock_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = EvalConfig {
+        jobs: 1,
+        targeted: true,
+        summary_cache_path: Some(dir.join("app.exsm")),
+        ..EvalConfig::default()
+    };
+    let trace = TraceCollector::enabled();
+    let report = analyze_app_with(&app.apk, app.truth.open_source, &cfg, &trace);
+    let spans = trace.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let span_ns = |cat: &str, name: &str| -> Option<u64> {
+        spans.iter().find(|r| r.cat == cat && r.name == name).map(SpanRecord::dur_ns)
+    };
+    let mut phase_names: Vec<&str> =
+        spans.iter().filter(|r| r.cat == "phase").map(|r| r.name.as_str()).collect();
+    phase_names.sort_unstable();
+    let slots = report.metrics.phases.slots();
+    let mut slot_names: Vec<&str> =
+        slots.iter().filter(|(_, d)| !d.is_zero()).map(|(name, _)| *name).collect();
+    slot_names.sort_unstable();
+    assert_eq!(phase_names, slot_names);
+    let mut expected = vec![
+        "deobfuscation",
+        "indexing",
+        "demarcation",
+        "targeted",
+        "incremental",
+        "slicing",
+        "pairing",
+        "signatures",
+        "dependencies",
+    ];
+    expected.sort_unstable();
+    assert_eq!(slot_names, expected);
+
+    for (name, d) in slots.iter().filter(|(_, d)| !d.is_zero()) {
+        let mut charged = span_ns("phase", name).unwrap();
+        if *name == "incremental" {
+            charged += span_ns("step", "incremental_save").expect("summary-cache save step");
+        }
+        assert!(d.as_nanos() as u64 <= charged, "{name}: slot {d:?} exceeds its spans");
     }
 }
 

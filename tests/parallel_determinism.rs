@@ -69,7 +69,8 @@ fn metrics_are_populated() {
         assert_eq!(dp.dp_id, i, "per-DP metrics ordered by DP id");
         assert!(dp.total_stmts() >= dp.request_stmts);
     }
-    assert!(m.phases.total() <= report.stats.duration + m.phases.total());
+    // Phase windows are disjoint sub-intervals of the run.
+    assert!(m.phases.total() <= report.stats.duration);
     assert!(m.phases.slicing.as_nanos() > 0, "slicing phase timed");
 }
 
