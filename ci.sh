@@ -20,7 +20,11 @@ cargo build --release --workspace
 
 echo "==> tier-1 from an empty target dir: cargo build --release && cargo test -q"
 # default-members covers every package, so this runs the whole workspace
-# suite, including the tests that drive the crates' binaries.
+# suite, including the tests that drive the crates' binaries and the
+# serving gates: the 20% pruning bar and trie == brute
+# (tests/serve_differential.rs), the 20x archive-load speedup
+# (tests/serve_archive.rs), and the classify instruments against
+# METRICS_classify.baseline.txt (tests/serve_differential.rs).
 TIER1_TARGET=$(mktemp -d)
 CARGO_TARGET_DIR="$TIER1_TARGET" sh -c 'cargo build --release && cargo test -q'
 rm -rf "$TIER1_TARGET"
@@ -37,38 +41,6 @@ cargo run --release -q -p extractocol-obs --bin extractocol-trace-validate -- tr
 
 echo "==> conformance gate (mutation self-test)"
 cargo run --release -q -p extractocol-dynamic --bin extractocol-eval -- --conformance-mutate
-
-echo "==> serving gate (classify bench smoke: pruning bar + throughput margin + archive speedup)"
-cargo run --release -q -p extractocol-serve --bin extractocol-serve -- \
-  bench --requests 50000 --jobs 0 --iterations 3 \
-  --out BENCH_classify.json --baseline BENCH_classify.baseline.json \
-  --metrics-out METRICS_classify.txt
-
-echo "==> observability gate (mandatory serving instruments)"
-for fam in serve_classify_requests_total serve_classify_verdict_total \
-  serve_classify_candidate_fraction_bucket serve_classify_latency_us_bucket \
-  serve_index_signatures serve_shards_total serve_phase_classify_seconds; do
-  grep -q "$fam" METRICS_classify.txt \
-    || { echo "METRICS_classify.txt: missing instrument family $fam"; exit 1; }
-done
-
-echo "==> obs-diff gate (self-check: identical snapshots pass, seeded perturbation fails)"
-cargo run --release -q -p extractocol-obs --bin extractocol-obs-diff -- \
-  METRICS_classify.txt METRICS_classify.txt \
-  || { echo "obs-diff: identical snapshots must pass"; exit 1; }
-sed 's/^serve_classify_requests_total .*/serve_classify_requests_total 999999/' \
-  METRICS_classify.txt > METRICS_perturbed.txt
-if cargo run --release -q -p extractocol-obs --bin extractocol-obs-diff -- \
-  METRICS_classify.txt METRICS_perturbed.txt > /dev/null; then
-  echo "obs-diff: seeded counter perturbation went undetected"; exit 1
-fi
-rm -f METRICS_perturbed.txt
-
-echo "==> obs-diff gate (checked-in baseline: deterministic families must not drift)"
-cargo run --release -q -p extractocol-obs --bin extractocol-obs-diff -- \
-  METRICS_classify.baseline.txt METRICS_classify.txt --ignore-per-run \
-  || { echo "obs-diff: deterministic drift against METRICS_classify.baseline.txt \
-(regenerate the baseline if the change is intentional)"; exit 1; }
 
 echo "==> adversarial gate (seeded attack suite: totality + trie-vs-brute differential)"
 cargo run --release -q -p extractocol-serve --bin extractocol-serve -- \

@@ -10,9 +10,9 @@ use extractocol_obs::{AttrValue, Registry, SpanGuard, TraceCollector, Volatility
 use std::time::{Duration, Instant};
 
 /// Wall-clock time of each pipeline phase (Fig. 2's boxes, plus the
-/// validation and serving phases bolted on since). `total()` always sums
-/// *every* slot, so an end-to-end run that exercises conformance or the
-/// serving side is no longer under-reported.
+/// validation phase bolted on since). `total()` always sums *every*
+/// slot, so an end-to-end run that exercises conformance is not
+/// under-reported.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
     /// §3.4 library de-obfuscation.
@@ -39,25 +39,19 @@ pub struct PhaseTimings {
     /// Differential conformance check against a dynamic trace (zero when
     /// no oracle ran).
     pub conformance: Duration,
-    /// Serving-side signature-index compilation (zero outside
-    /// `extractocol-serve`).
-    pub serve_compile: Duration,
-    /// Serving-side traffic classification (zero outside
-    /// `extractocol-serve`).
-    pub serve_classify: Duration,
 }
 
 impl PhaseTimings {
     /// Every `(phase name, duration)` pair, in pipeline order. The single
     /// source of truth for `total()`, the registry export, the CLI timing
     /// tables, and the names [`PhaseTimings::phase`] accepts.
-    pub fn slots(&self) -> [(&'static str, Duration); 12] {
+    pub fn slots(&self) -> [(&'static str, Duration); 10] {
         let mut copy = *self;
         copy.slots_mut().map(|(name, d)| (name, *d))
     }
 
     /// The slot table behind [`PhaseTimings::slots`], by mutable reference.
-    fn slots_mut(&mut self) -> [(&'static str, &mut Duration); 12] {
+    fn slots_mut(&mut self) -> [(&'static str, &mut Duration); 10] {
         [
             ("deobfuscation", &mut self.deobfuscation),
             ("indexing", &mut self.indexing),
@@ -69,8 +63,6 @@ impl PhaseTimings {
             ("signatures", &mut self.signatures),
             ("dependencies", &mut self.dependencies),
             ("conformance", &mut self.conformance),
-            ("serve_compile", &mut self.serve_compile),
-            ("serve_classify", &mut self.serve_classify),
         ]
     }
 
@@ -106,8 +98,7 @@ impl PhaseTimings {
         PhaseGuard { slot, started: Instant::now(), span }
     }
 
-    /// Sum of all phase times (every slot, including conformance and the
-    /// serving phases).
+    /// Sum of all phase times (every slot, including conformance).
     pub fn total(&self) -> Duration {
         self.slots().iter().map(|(_, d)| *d).sum()
     }
@@ -390,18 +381,16 @@ mod tests {
         assert_eq!(t.total(), Duration::from_millis(42));
     }
 
-    /// `total()` must cover *every* slot — the conformance and serving
-    /// phases used to be missing, under-reporting end-to-end runs.
+    /// `total()` must cover *every* slot — the conformance phase used to
+    /// be missing, under-reporting end-to-end runs.
     #[test]
-    fn phase_total_includes_conformance_and_serve_slots() {
+    fn phase_total_includes_the_conformance_slot() {
         let t = PhaseTimings {
             slicing: Duration::from_millis(10),
             conformance: Duration::from_millis(7),
-            serve_compile: Duration::from_millis(5),
-            serve_classify: Duration::from_millis(3),
             ..PhaseTimings::default()
         };
-        assert_eq!(t.total(), Duration::from_millis(25));
+        assert_eq!(t.total(), Duration::from_millis(17));
         // And `slots()` is exhaustive: summing it agrees with total() on
         // a fully populated struct.
         let full = PhaseTimings {
@@ -415,11 +404,9 @@ mod tests {
             signatures: Duration::from_millis(8),
             dependencies: Duration::from_millis(9),
             conformance: Duration::from_millis(10),
-            serve_compile: Duration::from_millis(11),
-            serve_classify: Duration::from_millis(12),
         };
-        assert_eq!(full.total(), Duration::from_millis(78));
-        assert_eq!(full.slots().len(), 12);
+        assert_eq!(full.total(), Duration::from_millis(55));
+        assert_eq!(full.slots().len(), 10);
         let text = full.to_text();
         assert!(text.contains("conformance"), "{text}");
         assert!(text.contains("targeted"), "{text}");

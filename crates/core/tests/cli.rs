@@ -4,16 +4,22 @@
 
 use std::io::Write;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_extractocol"))
 }
 
+/// Writes `name` to a temp file of its own: tests run in parallel, and a
+/// path shared between two of them lets one truncate the file while the
+/// other's CLI run reads it.
 fn write_app(name: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let app = extractocol_corpus::app(name).expect("corpus app");
     let txt = extractocol_ir::printer::print_apk(&app.apk);
     let mut path = std::env::temp_dir();
-    path.push(format!("extractocol-cli-{}.jimple", name.replace(' ', "-")));
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    path.push(format!("extractocol-cli-{n}-{}.jimple", name.replace(' ', "-")));
     let mut f = std::fs::File::create(&path).expect("temp file");
     f.write_all(txt.as_bytes()).expect("write");
     path

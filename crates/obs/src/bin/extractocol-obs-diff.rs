@@ -1,10 +1,10 @@
 //! The `extractocol-obs-diff` tool: regression-gate two observability
 //! snapshots (Prometheus-text expositions from `--metrics-out` /
-//! `METRICS` scrapes, or `BENCH_*.json` reports).
+//! `METRICS` scrapes).
 //!
 //! ```bash
 //! extractocol-obs-diff baseline.txt current.txt
-//! extractocol-obs-diff BENCH_a.json BENCH_b.json --per-run-threshold 0.5
+//! extractocol-obs-diff baseline.txt current.txt --per-run-threshold 0.5
 //! extractocol-obs-diff METRICS_classify.baseline.txt METRICS_classify.txt \
 //!     --ignore-per-run      # cross-machine: deterministic tier only
 //! ```
@@ -13,7 +13,7 @@
 //! symmetric relative threshold (default 25%). Exits 0 when clean, 1 on
 //! any regression, 2 on usage or parse errors.
 
-use extractocol_obs::{diff, parse_snapshot, DiffConfig};
+use extractocol_obs::{diff, parse_prometheus, DiffConfig};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -60,7 +60,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        match parse_snapshot(&text) {
+        match parse_prometheus(&text) {
             Ok(s) => snaps.push(s),
             Err(e) => {
                 eprintln!("extractocol-obs-diff: {path}: {e}");

@@ -1,18 +1,12 @@
 //! Snapshot diffing: the engine behind `extractocol-obs-diff`.
 //!
-//! A [`Snapshot`] is a flat `series name → value` map parsed from either
-//! a Prometheus-text exposition (as rendered by
-//! [`crate::Registry::render`]) or a `BENCH_*.json` report. Each series
-//! belongs to a *family* carrying a [`Volatility`]:
-//!
-//! * exposition text declares it via the non-standard
-//!   `# VOLATILITY <name> deterministic|perrun` comment the registry
-//!   renderer emits (foreign scrapes without the comment default to
-//!   per-run — the safe side);
-//! * bench JSON fields are classified by name: anything wall-clock
-//!   shaped (`*_secs`, `*latency*`, `*per_sec*`, `*speedup*`) is
-//!   per-run, the rest (request/signature/verdict counts, candidate
-//!   statistics) is deterministic.
+//! A [`Snapshot`] is a flat `series name → value` map parsed from a
+//! Prometheus-text exposition (as rendered by
+//! [`crate::Registry::render`]). Each series belongs to a *family*
+//! carrying a [`Volatility`], declared via the non-standard
+//! `# VOLATILITY <name> deterministic|perrun` comment the registry
+//! renderer emits (foreign scrapes without the comment default to
+//! per-run — the safe side).
 //!
 //! [`diff`] then applies the two-tier contract from the metrics module:
 //! deterministic series must match **exactly** — any value change,
@@ -20,11 +14,10 @@
 //! are compared against a symmetric relative threshold
 //! (`|a-b| / max(|a|,|b|)`), with missing/new series demoted to
 //! warnings. [`DiffConfig::ignore_per_run`] drops the per-run tier
-//! entirely, which is how CI diffs a live scrape against the checked-in
-//! `METRICS_classify.baseline.txt` across machines.
+//! entirely, which is how a fresh classify run is diffed against the
+//! checked-in `METRICS_classify.baseline.txt` across machines.
 
 use crate::metrics::Volatility;
-use extractocol_http::JsonValue;
 use std::collections::BTreeMap;
 
 /// Family metadata recovered from `# HELP`/`# TYPE`/`# VOLATILITY`
@@ -157,61 +150,6 @@ pub fn parse_prometheus(text: &str) -> Result<Snapshot, String> {
         snap.series.insert(key, value);
     }
     Ok(snap)
-}
-
-/// Bench-JSON field classification: wall-clock-shaped names are per-run,
-/// everything else (counts, fractions of deterministic sets) is
-/// deterministic.
-fn bench_field_volatility(name: &str) -> Volatility {
-    const PER_RUN_MARKERS: &[&str] =
-        &["secs", "seconds", "latency", "per_sec", "speedup", "overhead", "_ns", "_ms"];
-    if PER_RUN_MARKERS.iter().any(|m| name.contains(m)) {
-        Volatility::PerRun
-    } else {
-        Volatility::Deterministic
-    }
-}
-
-fn flatten_json(prefix: &str, v: &JsonValue, snap: &mut Snapshot) {
-    match v {
-        JsonValue::Number(n) => {
-            snap.series.insert(prefix.to_string(), *n);
-            family_meta_mut(snap, prefix).volatility = Some(bench_field_volatility(prefix));
-            family_meta_mut(snap, prefix).typ = "gauge".to_string();
-        }
-        JsonValue::Bool(b) => {
-            snap.series.insert(prefix.to_string(), if *b { 1.0 } else { 0.0 });
-            family_meta_mut(snap, prefix).volatility = Some(bench_field_volatility(prefix));
-            family_meta_mut(snap, prefix).typ = "gauge".to_string();
-        }
-        JsonValue::Object(map) => {
-            for (k, child) in map {
-                let key = if prefix.is_empty() { k.clone() } else { format!("{prefix}.{k}") };
-                flatten_json(&key, child, snap);
-            }
-        }
-        // Strings/arrays/null carry no comparable numeric value.
-        _ => {}
-    }
-}
-
-/// Parses a `BENCH_*.json` report into a [`Snapshot`] by flattening
-/// numeric fields (nested objects join with `.`).
-pub fn parse_bench_json(text: &str) -> Result<Snapshot, String> {
-    let v = JsonValue::parse(text).map_err(|e| format!("bench json: {e}"))?;
-    let mut snap = Snapshot::default();
-    flatten_json("", &v, &mut snap);
-    Ok(snap)
-}
-
-/// Auto-detecting parse: leading `{` means bench JSON, anything else is
-/// treated as a Prometheus exposition.
-pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
-    if text.trim_start().starts_with('{') {
-        parse_bench_json(text)
-    } else {
-        parse_prometheus(text)
-    }
 }
 
 /// Diff tuning knobs.
@@ -479,31 +417,6 @@ mod tests {
         // Both drifted >25%, but as per-run regressions, not exact ones.
         assert_eq!(report.regressions.len(), 2, "{}", report.to_text());
         assert!(report.regressions.iter().all(|r| r.contains("per-run")));
-    }
-
-    #[test]
-    fn bench_json_fields_classify_and_diff() {
-        let a = r#"{"requests":50000,"signatures":1160,"matched":49426,
-                    "elapsed_secs":0.14,"p99_latency_us":8.8,
-                    "requests_per_sec":343941.7}"#;
-        let snap = parse_snapshot(a).unwrap();
-        assert_eq!(snap.volatility_of("requests"), Some(Volatility::Deterministic));
-        assert_eq!(snap.volatility_of("elapsed_secs"), Some(Volatility::PerRun));
-        assert_eq!(snap.volatility_of("p99_latency_us"), Some(Volatility::PerRun));
-        assert_eq!(snap.volatility_of("requests_per_sec"), Some(Volatility::PerRun));
-        // Same counts, wildly different timings: clean under ignore_per_run
-        // and under the relative tier only if within threshold.
-        let b = r#"{"requests":50000,"signatures":1160,"matched":49426,
-                    "elapsed_secs":0.15,"p99_latency_us":9.0,
-                    "requests_per_sec":320000.0}"#;
-        let cur = parse_snapshot(b).unwrap();
-        let report = diff(&snap, &cur, &DiffConfig::default());
-        assert!(!report.is_regression(), "{}", report.to_text());
-        // A matched-count change is deterministic and exact.
-        let c = b.replace("49426", "49000");
-        let report = diff(&snap, &parse_snapshot(&c).unwrap(), &DiffConfig::default());
-        assert!(report.is_regression(), "{}", report.to_text());
-        assert!(report.regressions.iter().any(|r| r.contains("matched")));
     }
 
     #[test]

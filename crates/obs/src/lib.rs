@@ -24,9 +24,8 @@
 //!   records in a fixed-capacity deterministic ring buffer with an
 //!   optional streaming file sink and a dropped-records counter.
 //! * [`diff`](mod@diff) — snapshot diffing for `extractocol-obs-diff`: parses
-//!   Prometheus-text and `BENCH_*.json` snapshots, compares the
-//!   deterministic family exactly and the per-run family against
-//!   relative thresholds.
+//!   Prometheus-text snapshots, compares the deterministic family
+//!   exactly and the per-run family against relative thresholds.
 //!
 //! Everything here is *observational*: nothing feeds back into analysis
 //! results, and nothing enters canonical report serialization.
@@ -37,7 +36,7 @@ pub mod log;
 pub mod metrics;
 pub mod span;
 
-pub use diff::{diff, parse_snapshot, DiffConfig, DiffReport, Snapshot};
+pub use diff::{diff, parse_prometheus, DiffConfig, DiffReport, Snapshot};
 pub use export::{
     chrome_trace_json, collapsed_stacks, summary_table, validate_chrome_trace, TraceStats,
 };

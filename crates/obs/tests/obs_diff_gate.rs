@@ -1,6 +1,7 @@
 //! The `extractocol-obs-diff` regression gate, driven through the real
-//! binary on a real daemon exposition: identical snapshots pass, and a
-//! seeded deterministic-counter perturbation exits 1.
+//! binary on a real daemon exposition: identical snapshots pass, a
+//! seeded deterministic-counter perturbation exits 1, and
+//! `--ignore-per-run` forgives per-run drift but not deterministic drift.
 
 use extractocol_obs::{EventLog, Level, Registry, TraceCollector};
 use extractocol_serve::{Daemon, DaemonConfig, SignatureIndex};
@@ -42,18 +43,23 @@ fn temp_file(name: &str, contents: &str) -> std::path::PathBuf {
     path
 }
 
-/// Acceptance: obs-diff passes on identical snapshots and exits nonzero
-/// on a seeded deterministic-counter perturbation — through the real
-/// binary, on a real daemon exposition.
-#[test]
-fn obs_diff_gate_detects_a_seeded_counter_perturbation() {
+/// The daemon exposition after serving radio reddit's fuzzer traffic.
+fn radio_exposition() -> String {
     let daemon = observed_daemon(app_index("radio reddit"));
     for line in &app_traffic("radio reddit") {
         daemon.process_line(line);
     }
     let exposition = daemon.registry.render();
     assert!(exposition.contains("serve_daemon_requests_total"), "{exposition}");
+    exposition
+}
 
+/// Acceptance: obs-diff passes on identical snapshots and exits nonzero
+/// on a seeded deterministic-counter perturbation — through the real
+/// binary, on a real daemon exposition.
+#[test]
+fn obs_diff_gate_detects_a_seeded_counter_perturbation() {
+    let exposition = radio_exposition();
     let baseline = temp_file("base.txt", &exposition);
     let identical = temp_file("same.txt", &exposition);
     let out = obs_diff().args([&baseline, &identical]).output().expect("run obs-diff");
@@ -64,18 +70,8 @@ fn obs_diff_gate_detects_a_seeded_counter_perturbation() {
     );
 
     // Seed a perturbation in a deterministic counter.
-    let perturbed_text = exposition
-        .lines()
-        .map(|l| {
-            if l.starts_with("serve_daemon_requests_total ") {
-                "serve_daemon_requests_total 999999".to_string()
-            } else {
-                l.to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n");
-    let perturbed = temp_file("perturbed.txt", &perturbed_text);
+    let perturbed =
+        temp_file("perturbed.txt", &set_series(&exposition, "serve_daemon_requests_total"));
     let out = obs_diff().args([&baseline, &perturbed]).output().expect("run obs-diff");
     assert_eq!(out.status.code(), Some(1), "perturbation must be a regression");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -85,4 +81,50 @@ fn obs_diff_gate_detects_a_seeded_counter_perturbation() {
     for p in [baseline, identical, perturbed] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+/// `--ignore-per-run` (the cross-machine baseline mode) forgives a
+/// per-run series drifting far past the relative threshold, but a
+/// deterministic counter drift still exits 1.
+#[test]
+fn ignore_per_run_forgives_only_per_run_drift() {
+    let exposition = radio_exposition();
+    let baseline = temp_file("ipr-base.txt", &exposition);
+    let drifted = temp_file(
+        "ipr-drifted.txt",
+        &set_series(&exposition, "serve_daemon_request_latency_us_sum"),
+    );
+    let out = obs_diff().args([&baseline, &drifted]).output().expect("run obs-diff");
+    assert_eq!(out.status.code(), Some(1), "per-run drift must fail the default gate");
+    let out = obs_diff().args([&baseline, &drifted]).arg("--ignore-per-run").output().expect("run");
+    assert!(
+        out.status.success(),
+        "--ignore-per-run must forgive per-run drift: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+
+    let perturbed =
+        temp_file("ipr-perturbed.txt", &set_series(&exposition, "serve_daemon_requests_total"));
+    let out =
+        obs_diff().args([&baseline, &perturbed]).arg("--ignore-per-run").output().expect("run");
+    assert_eq!(out.status.code(), Some(1), "deterministic drift must still be a regression");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("REGRESSION"), "{stdout}");
+    assert!(stdout.contains("serve_daemon_requests_total"), "{stdout}");
+
+    for p in [baseline, drifted, perturbed] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// `exposition` with the sample line of the unlabelled series `name`
+/// set to 999999.
+fn set_series(exposition: &str, name: &str) -> String {
+    let prefix = format!("{name} ");
+    assert!(exposition.lines().any(|l| l.starts_with(&prefix)), "no {name} line");
+    exposition
+        .lines()
+        .map(|l| if l.starts_with(&prefix) { format!("{name} 999999") } else { l.to_string() })
+        .collect::<Vec<_>>()
+        .join("\n")
 }

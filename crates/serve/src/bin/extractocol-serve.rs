@@ -1,6 +1,6 @@
 //! The `extractocol-serve` command-line tool: compile signatures into the
 //! serving index (in-memory or as a persistent archive), classify
-//! traffic, run the long-lived daemon, or benchmark the pipeline.
+//! traffic, run the long-lived daemon, or run the adversarial bench.
 //!
 //! ```bash
 //! # Compile the corpus index once into a persistent archive:
@@ -21,10 +21,6 @@
 //! extractocol-serve scrape --port-file daemon.port --verb METRICS \
 //!     --out METRICS_live.txt
 //! extractocol-serve scrape --port-file daemon.port --verb HEALTH
-//!
-//! # Throughput benchmark over the corpus fuzzer traffic:
-//! extractocol-serve bench --requests 50000 --jobs 0 --iterations 3 \
-//!     --baseline BENCH_classify.baseline.json --margin 0.5
 //! ```
 //!
 //! The traffic file is line-based, one request per line —
@@ -32,12 +28,6 @@
 //! `TrafficTrace::to_request_text` format). The daemon speaks the same
 //! lines plus the `PING`/`STATS`/`SWAP`/`METRICS`/`HEALTH`/`SLOW`/
 //! `SHUTDOWN` control verbs.
-//!
-//! `bench` reports best-of-`--iterations` throughput and exits non-zero
-//! when it falls below `--margin` × the baseline's `requests_per_sec`,
-//! when the average candidate fraction exceeds the 20% pruning bar, or
-//! when loading the archive is not at least `--min-speedup` (default
-//! 20x) faster than the full rebuild.
 
 use extractocol_core::TraceCollector;
 use extractocol_obs::{EventLog, Level, SinkFormat};
@@ -63,8 +53,6 @@ fn usage() -> ExitCode {
          extractocol-serve send (--addr <host:port> | --port-file <file>) --traffic <file>\n       \
          extractocol-serve scrape (--addr <host:port> | --port-file <file>) \
          --verb METRICS|HEALTH|SLOW|STATS [--out <file>]\n       \
-         extractocol-serve bench [--requests <n>] [--jobs <n>] [--iterations <n>] [--out <file>] \
-         [--baseline <file>] [--margin <frac>] [--min-speedup <x>] [--metrics-out <file>]\n       \
          extractocol-serve attack [--index <index.exsv>] [--seed <n>] [--per-class <n>] \
          [--jobs <n>] [--out <file>] [--metrics-out <file>] [--json]"
     );
@@ -79,7 +67,6 @@ fn main() -> ExitCode {
         Some("daemon") => cmd_daemon(args.collect()),
         Some("send") => cmd_send(args.collect()),
         Some("scrape") => cmd_scrape(args.collect()),
-        Some("bench") => cmd_bench(args.collect()),
         Some("attack") => cmd_attack(args.collect()),
         Some("--help") | Some("-h") => {
             usage();
@@ -738,145 +725,6 @@ fn cmd_attack(args: Vec<String>) -> ExitCode {
             report.differential_disagreements
         );
         return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_bench(args: Vec<String>) -> ExitCode {
-    let mut requests = 50_000usize;
-    let mut jobs = 0usize;
-    let mut iterations = 3usize;
-    let mut margin = 0.5f64;
-    let mut min_speedup = 20.0f64;
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--requests" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => requests = n,
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => jobs = n,
-                None => return usage(),
-            },
-            "--iterations" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => iterations = n,
-                None => return usage(),
-            },
-            "--margin" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(f) if (0.0..=1.0).contains(&f) => margin = f,
-                _ => return usage(),
-            },
-            "--min-speedup" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(f) => min_speedup = f,
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = Some(p),
-                None => return usage(),
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline = Some(p),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-
-    // --metrics-out writes the instrumented pass (latency histograms,
-    // candidate-fraction distribution, shard imbalance); the timed batch
-    // behind the throughput numbers stays uninstrumented.
-    let observed = serve_bench::run(requests, jobs, iterations);
-    if let Some(path) = &metrics_out {
-        if let Err(e) = std::fs::write(path, observed.metrics.registry.render()) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        print!("{}", observed.phases.to_text());
-    }
-    let report = observed.report;
-    let json = report.to_json().to_json();
-    println!(
-        "classified {} requests against {} signatures: {:.0} req/s best of {} \
-         (p50 {:.1}us, p99 {:.1}us, avg candidates {:.2}, candidate frac {:.4})",
-        report.requests,
-        report.signatures,
-        report.requests_per_sec,
-        report.iterations,
-        report.p50_latency_us,
-        report.p99_latency_us,
-        report.stats.avg_candidates(),
-        report.stats.avg_candidate_fraction(),
-    );
-    println!(
-        "index rebuild {:.2}s vs archive load {:.1}ms: {:.0}x speedup",
-        report.rebuild_secs,
-        report.archive_load_secs * 1e3,
-        report.archive_speedup,
-    );
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if report.stats.avg_candidate_fraction() > 0.20 {
-        eprintln!(
-            "extractocol-serve: candidate fraction {:.4} exceeds the 20% pruning bar",
-            report.stats.avg_candidate_fraction()
-        );
-        return ExitCode::FAILURE;
-    }
-    if report.archive_speedup < min_speedup {
-        eprintln!(
-            "extractocol-serve: archive load is only {:.1}x faster than a rebuild \
-             (bar: {min_speedup:.0}x)",
-            report.archive_speedup
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Some(path) = &baseline {
-        let base = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("extractocol-serve: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let parsed = match extractocol_http::JsonValue::parse(&base) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("extractocol-serve: {path}: invalid JSON: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(base_rps) = parsed.get("requests_per_sec").and_then(|v| v.as_num()) else {
-            eprintln!("extractocol-serve: {path}: missing requests_per_sec");
-            return ExitCode::FAILURE;
-        };
-        let floor = base_rps * margin;
-        if report.requests_per_sec < floor {
-            eprintln!(
-                "extractocol-serve: best-of-{} throughput {:.0} req/s fell below \
-                 {margin:.2} x baseline {base_rps:.0} req/s",
-                report.iterations, report.requests_per_sec
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "baseline check: {:.0} req/s (best of {}) vs baseline {base_rps:.0} req/s \
-             (gate: >= {floor:.0})",
-            report.requests_per_sec, report.iterations
-        );
     }
     ExitCode::SUCCESS
 }

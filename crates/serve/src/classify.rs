@@ -9,7 +9,7 @@
 //! produce **byte-identical** verdict vectors *and* stats — pinned by the
 //! corpus-wide differential test.
 
-use crate::index::{SignatureIndex, Verdict};
+use crate::index::{Probe, SignatureIndex, Verdict};
 use crate::metrics::ServeMetrics;
 use extractocol_core::par::parallel_map;
 use extractocol_core::TraceCollector;
@@ -57,6 +57,23 @@ impl ClassifyStats {
         self.max_candidates = self.max_candidates.max(other.max_candidates);
         for (app, n) in &other.per_app {
             *self.per_app.entry(app.clone()).or_insert(0) += n;
+        }
+    }
+
+    /// Counts one classified request.
+    #[inline]
+    fn record(&mut self, index: &SignatureIndex, verdict: Verdict, probe: &Probe) {
+        self.requests += 1;
+        self.candidates_total += probe.candidates;
+        self.structural_evals += probe.structural_evals;
+        self.budget_exhausted += probe.budget_exhausted;
+        self.max_candidates = self.max_candidates.max(probe.candidates);
+        match verdict {
+            Verdict::Match(id) => {
+                self.matched += 1;
+                *self.per_app.entry(index.sig(id).app.clone()).or_insert(0) += 1;
+            }
+            Verdict::Unmatched => self.unmatched += 1,
         }
     }
 
@@ -136,9 +153,8 @@ pub fn classify_batch(
 /// trie_probe/structural_match` span tree into `trace` when it records.
 ///
 /// Verdicts and stats are identical to the plain path — only the
-/// per-request timer and the metric updates ride along. Throughput
-/// benchmarks keep using [`classify_batch`] for the timed run so the
-/// gate measures the uninstrumented fast path.
+/// per-request timer and the metric updates ride along. Throughput is
+/// measured on [`classify_batch`].
 pub fn classify_batch_observed(
     index: &SignatureIndex,
     requests: &[Request],
@@ -202,18 +218,7 @@ fn classify_shard_observed(
                 rspan.attr("sig_id", id as u64);
             }
         }
-        stats.requests += 1;
-        stats.candidates_total += probe.candidates;
-        stats.structural_evals += probe.structural_evals;
-        stats.budget_exhausted += probe.budget_exhausted;
-        stats.max_candidates = stats.max_candidates.max(probe.candidates);
-        match verdict {
-            Verdict::Match(id) => {
-                stats.matched += 1;
-                *stats.per_app.entry(index.sig(id).app.clone()).or_insert(0) += 1;
-            }
-            Verdict::Unmatched => stats.unmatched += 1,
-        }
+        stats.record(index, verdict, &probe);
         verdicts.push(verdict);
     }
     (verdicts, stats)
@@ -225,18 +230,7 @@ fn classify_shard(index: &SignatureIndex, shard: &[Request]) -> (Vec<Verdict>, C
     let mut stats = ClassifyStats::default();
     for req in shard {
         let (verdict, probe) = index.classify(req);
-        stats.requests += 1;
-        stats.candidates_total += probe.candidates;
-        stats.structural_evals += probe.structural_evals;
-        stats.budget_exhausted += probe.budget_exhausted;
-        stats.max_candidates = stats.max_candidates.max(probe.candidates);
-        match verdict {
-            Verdict::Match(id) => {
-                stats.matched += 1;
-                *stats.per_app.entry(index.sig(id).app.clone()).or_insert(0) += 1;
-            }
-            Verdict::Unmatched => stats.unmatched += 1,
-        }
+        stats.record(index, verdict, &probe);
         verdicts.push(verdict);
     }
     (verdicts, stats)

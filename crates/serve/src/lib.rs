@@ -7,7 +7,7 @@
 //! provenance at high throughput. This is the paper's "network management
 //! / signature-based filtering" use case (§2, §7) made concrete.
 //!
-//! Four layers:
+//! Six layers:
 //!
 //! * [`index`] — the immutable compiled index: a byte-trie over mandatory
 //!   literal URI prefixes prunes the candidate set before the structural
@@ -15,8 +15,8 @@
 //! * [`classify`] — batch classification on the `core::par` worker pool
 //!   with fixed-size shards and order-independent stat merging, so
 //!   results are byte-identical across `jobs` settings.
-//! * [`bench`](mod@bench) — the corpus-driven throughput benchmark behind
-//!   `extractocol-serve bench` and CI's `BENCH_classify.json` gate.
+//! * [`bench`](mod@bench) — the shared corpus inputs and the adversarial
+//!   bench behind `extractocol-serve attack`.
 //! * [`metrics`] — the serving-side instrument bundle ([`ServeMetrics`]):
 //!   verdict counters, the candidate-fraction distribution,
 //!   per-verdict-class latency histograms, and shard telemetry, rendered
@@ -38,7 +38,7 @@ pub mod index;
 pub mod metrics;
 
 pub use archive::{read_archive, read_archive_file, write_archive, write_archive_file};
-pub use bench::{AttackBenchReport, AttackClassTally, BenchReport, ObservedBench};
+pub use bench::{AttackBenchReport, AttackClassTally};
 pub use classify::{classify_batch, classify_batch_observed, ClassifyStats};
 pub use daemon::{
     scrape, send_lines, trace_id_for, Daemon, DaemonConfig, DaemonMetrics, Reply, SwapError,

@@ -207,7 +207,7 @@ fn serve_deterministic_snapshot_is_jobs_invariant_on_corpus_traffic() {
             extractocol_dynamic::run_perfect_fuzzer(a).transactions.into_iter().map(|t| t.request)
         })
         .collect();
-    let requests = extractocol_serve::bench::tile_requests(&base, 2000);
+    let requests: Vec<_> = base.iter().cycle().take(2000).cloned().collect();
 
     let snapshot = |jobs: usize| {
         let metrics = ServeMetrics::new();

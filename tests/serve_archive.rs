@@ -9,31 +9,17 @@
 //!   counters).
 //! * **Typed rejection** — corruption, truncation at any byte, and
 //!   version skew are refused with typed `ContainerError`s, never panics.
+//! * **Load speedup** — loading the archive is at least 20x faster than
+//!   the rebuild it replaces (corpus static analysis + compile).
 
+use extractocol_serve::bench::{corpus_reports, corpus_requests};
 use extractocol_serve::{read_archive, write_archive, ContainerError, SignatureIndex};
-
-fn corpus_reports() -> Vec<extractocol_core::report::AnalysisReport> {
-    extractocol_corpus::all_apps()
-        .iter()
-        .map(|app| {
-            extractocol_dynamic::conformance::analyze_app(&app.apk, app.truth.open_source, 1)
-        })
-        .collect()
-}
-
-fn corpus_requests() -> Vec<extractocol_http::Request> {
-    extractocol_corpus::all_apps()
-        .iter()
-        .flat_map(|app| {
-            extractocol_dynamic::run_perfect_fuzzer(app).transactions.into_iter().map(|t| t.request)
-        })
-        .collect()
-}
+use std::time::Instant;
 
 #[test]
 fn corpus_archive_is_deterministic_and_byte_stable() {
-    let a = SignatureIndex::compile(&corpus_reports());
-    let b = SignatureIndex::compile(&corpus_reports());
+    let a = SignatureIndex::compile(&corpus_reports(1));
+    let b = SignatureIndex::compile(&corpus_reports(1));
     let bytes_a = write_archive(&a);
     let bytes_b = write_archive(&b);
     assert!(bytes_a.len() > 1_000, "corpus archive suspiciously small: {}", bytes_a.len());
@@ -46,7 +32,7 @@ fn corpus_archive_is_deterministic_and_byte_stable() {
 
 #[test]
 fn archive_loaded_index_is_verdict_identical_across_the_corpus() {
-    let compiled = SignatureIndex::compile(&corpus_reports());
+    let compiled = SignatureIndex::compile(&corpus_reports(1));
     let loaded = read_archive(&write_archive(&compiled)).expect("load");
     assert_eq!(loaded.len(), compiled.len());
     assert_eq!(loaded.trie_nodes(), compiled.trie_nodes());
@@ -67,7 +53,7 @@ fn archive_loaded_index_is_verdict_identical_across_the_corpus() {
 
 #[test]
 fn corrupted_and_truncated_corpus_archives_are_refused_with_typed_errors() {
-    let index = SignatureIndex::compile(&corpus_reports());
+    let index = SignatureIndex::compile(&corpus_reports(1));
     let bytes = write_archive(&index);
 
     // Version skew: refused by number, not by crash.
@@ -96,4 +82,29 @@ fn corrupted_and_truncated_corpus_archives_are_refused_with_typed_errors() {
             Ok(_) => panic!("truncated archive loaded at cut {cut}/{}", bytes.len()),
         }
     }
+}
+
+/// The persistent index's reason to exist: the best of three archive
+/// loads beats the full rebuild (analysis of every corpus app plus
+/// compile) by at least 20x.
+#[test]
+fn archive_load_is_twenty_times_faster_than_a_rebuild() {
+    let t = Instant::now();
+    let index = SignatureIndex::compile(&corpus_reports(0));
+    let rebuild = t.elapsed();
+    let bytes = write_archive(&index);
+    let load = (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(read_archive(&bytes).expect("self-written archive loads"));
+            t.elapsed()
+        })
+        .min()
+        .expect("three timed loads");
+    let speedup = rebuild.as_secs_f64() / load.as_secs_f64();
+    println!("index rebuild {rebuild:?} vs archive load {load:?}: {speedup:.0}x");
+    assert!(
+        speedup >= 20.0,
+        "archive load {load:?} is only {speedup:.1}x faster than the rebuild {rebuild:?} (bar: 20x)"
+    );
 }

@@ -1,4 +1,4 @@
-//! Differential property tests for the serving subsystem (ISSUE 4):
+//! Differential property tests for the serving subsystem:
 //!
 //! * **Trie vs brute force** — for every request in the perfect-fuzzer
 //!   traces of all 34 corpus apps, `SignatureIndex::classify` (byte-trie
@@ -10,26 +10,20 @@
 //!   (fixed-size shards + order-independent merging).
 //! * **Pruning bite** — on corpus traffic the trie must keep the average
 //!   structural-matcher workload at ≤ 20% of the compiled signatures per
-//!   request (the acceptance bar reported in `BENCH_classify.json`).
+//!   request.
+//! * **Metrics baseline** — the deterministic serving instruments over
+//!   50,000 tiled corpus requests equal `METRICS_classify.baseline.txt`.
 
-use extractocol_serve::{classify_batch, SignatureIndex, Verdict};
+use extractocol_core::TraceCollector;
+use extractocol_obs::{diff, parse_prometheus, DiffConfig};
+use extractocol_serve::bench::{corpus_reports, corpus_requests};
+use extractocol_serve::{
+    classify_batch, classify_batch_observed, ServeMetrics, SignatureIndex, Verdict,
+};
+use std::time::Instant;
 
 fn corpus_index_and_requests() -> (SignatureIndex, Vec<extractocol_http::Request>) {
-    let apps = extractocol_corpus::all_apps();
-    let reports: Vec<_> = apps
-        .iter()
-        .map(|app| {
-            extractocol_dynamic::conformance::analyze_app(&app.apk, app.truth.open_source, 1)
-        })
-        .collect();
-    let index = SignatureIndex::compile(&reports);
-    let requests: Vec<_> = apps
-        .iter()
-        .flat_map(|app| {
-            extractocol_dynamic::run_perfect_fuzzer(app).transactions.into_iter().map(|t| t.request)
-        })
-        .collect();
-    (index, requests)
+    (SignatureIndex::compile(&corpus_reports(1)), corpus_requests())
 }
 
 #[test]
@@ -140,5 +134,55 @@ fn traffic_wire_format_round_trips_corpus_traces() {
                 orig.request.uri.raw
             );
         }
+    }
+}
+
+/// The serving instruments over 50,000 tiled corpus requests: every
+/// mandatory family is exported, and every deterministic series equals
+/// the checked-in `METRICS_classify.baseline.txt` exactly (per-run
+/// timings are machine-dependent and skipped). On failure the current
+/// exposition is written under the test target dir; copying it over the
+/// baseline regenerates it.
+#[test]
+fn classify_metrics_match_the_checked_in_baseline() {
+    let reports = corpus_reports(1);
+    let t = Instant::now();
+    let index = SignatureIndex::compile(&reports);
+    let compile = t.elapsed();
+    let requests: Vec<_> = corpus_requests().iter().cycle().take(50_000).cloned().collect();
+    let metrics = ServeMetrics::new();
+    let t = Instant::now();
+    classify_batch_observed(&index, &requests, 0, &metrics, &TraceCollector::disabled());
+    metrics.observe_phases(compile, t.elapsed());
+    let exposition = metrics.registry.render();
+
+    let fail = |why: String| -> ! {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("METRICS_classify.txt");
+        std::fs::write(&path, &exposition).expect("write the current exposition");
+        panic!("{why}\ncurrent exposition: {}", path.display())
+    };
+    for family in [
+        "serve_classify_requests_total",
+        "serve_classify_verdict_total",
+        "serve_classify_candidate_fraction_bucket",
+        "serve_classify_latency_us_bucket",
+        "serve_index_signatures",
+        "serve_shards_total",
+        "serve_phase_classify_seconds",
+    ] {
+        if !exposition.contains(family) {
+            fail(format!("missing instrument family {family}"));
+        }
+    }
+    let baseline = parse_prometheus(include_str!("../METRICS_classify.baseline.txt"))
+        .expect("baseline parses");
+    let current = parse_prometheus(&exposition).expect("exposition parses");
+    let report =
+        diff(&baseline, &current, &DiffConfig { ignore_per_run: true, ..DiffConfig::default() });
+    if report.is_regression() {
+        fail(format!(
+            "deterministic drift against METRICS_classify.baseline.txt:\n{}",
+            report.to_text()
+        ));
     }
 }
