@@ -200,3 +200,37 @@ fn cli_trace_and_metrics_flags_emit_valid_artifacts() {
     assert!(metrics.contains("pipeline_phase_seconds"), "{metrics}");
     assert!(metrics.contains("pipeline_dp_slice_stmts_bucket"), "{metrics}");
 }
+
+/// The usage text `extractocol` prints on a malformed command line and
+/// on `--help`, byte for byte.
+const USAGE: &str = "usage: extractocol <app.jimple> [--regex] [--scope <prefix>] \
+     [--json] [--no-async] [--no-augment] [--hops <n>] [--depth <n>] \
+     [--jobs <n>] [--lints] [--no-pointsto] [--targeted] \
+     [--summary-cache-path <file>] [--no-incremental] \
+     [--trace-out <file>] [--trace-summary] [--flame-out <file>] \
+     [--metrics-out <file>] [--log-out <file>] [--log-level <level>]\n";
+
+/// Runs `extractocol args` and checks its exit code and exact stderr,
+/// with nothing on stdout.
+fn assert_exit(args: &[&str], code: i32, stderr: &str) {
+    let out = cli().args(args).output().expect("run extractocol");
+    assert_eq!(out.status.code(), Some(code), "exit code of {args:?}");
+    assert_eq!(String::from_utf8_lossy(&out.stderr), stderr, "stderr of {args:?}");
+    assert!(out.stdout.is_empty(), "stdout of {args:?}");
+}
+
+#[test]
+fn cli_usage_contract() {
+    assert_exit(&["--bogus"], 2, USAGE);
+    assert_exit(&["--scope"], 2, USAGE);
+    assert_exit(&["--log-level", "loud"], 2, USAGE);
+    assert_exit(&["--jobs", "many"], 2, USAGE);
+    assert_exit(&[], 2, USAGE);
+    assert_exit(&["--help"], 0, USAGE);
+    assert_exit(&["-h"], 0, USAGE);
+    assert_exit(
+        &["/nonexistent/app.jimple"],
+        1,
+        "extractocol: cannot read /nonexistent/app.jimple: No such file or directory (os error 2)\n",
+    );
+}
