@@ -1,5 +1,5 @@
 #!/bin/sh
-# Offline CI gate — the same checks .github/workflows/ci.yml runs.
+# Offline CI gate: every check CI runs (.github/workflows/ci.yml calls this script).
 # The workspace has zero external dependencies, so everything here works
 # with no network access (see README "Building offline").
 set -eu

@@ -24,23 +24,22 @@
 //! ```
 
 use extractocol_core::slicing::SliceOptions;
-use extractocol_core::{EventLog, Extractocol, Level, Options, SinkFormat, TraceCollector};
+use extractocol_core::{Extractocol, Level, Options};
+use extractocol_obs::cli::{self, Args, CliError};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: extractocol <app.jimple> [--regex] [--scope <prefix>] \
-         [--json] [--no-async] [--no-augment] [--hops <n>] [--depth <n>] \
-         [--jobs <n>] [--lints] [--no-pointsto] [--targeted] \
-         [--summary-cache-path <file>] [--no-incremental] \
-         [--trace-out <file>] [--trace-summary] [--flame-out <file>] \
-         [--metrics-out <file>] [--log-out <file>] [--log-level <level>]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: extractocol <app.jimple> [--regex] [--scope <prefix>] \
+     [--json] [--no-async] [--no-augment] [--hops <n>] [--depth <n>] \
+     [--jobs <n>] [--lints] [--no-pointsto] [--targeted] \
+     [--summary-cache-path <file>] [--no-incremental] \
+     [--trace-out <file>] [--trace-summary] [--flame-out <file>] \
+     [--metrics-out <file>] [--log-out <file>] [--log-level <level>]";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    cli::finish("extractocol", USAGE, run())
+}
+
+fn run() -> Result<(), CliError> {
     let mut path: Option<String> = None;
     let mut regex_only = false;
     let mut json_out = false;
@@ -55,132 +54,62 @@ fn main() -> ExitCode {
     let mut opts = Options::default();
     let mut slice = SliceOptions::default();
 
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    let mut args = Args::from_env();
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--regex" => regex_only = true,
             "--json" => json_out = true,
             "--lints" => show_lints = true,
             "--trace-summary" => trace_summary = true,
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p),
-                None => return usage(),
-            },
-            "--flame-out" => match it.next() {
-                Some(p) => flame_out = Some(p),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p),
-                None => return usage(),
-            },
-            "--log-out" => match it.next() {
-                Some(p) => log_out = Some(p),
-                None => return usage(),
-            },
-            "--log-level" => match it.next().and_then(|l| Level::parse(&l)) {
-                Some(l) => log_level = l,
-                None => return usage(),
-            },
+            "--trace-out" => trace_out = Some(args.value()?),
+            "--flame-out" => flame_out = Some(args.value()?),
+            "--metrics-out" => metrics_out = Some(args.value()?),
+            "--log-out" => log_out = Some(args.value()?),
+            "--log-level" => log_level = Level::parse(&args.value()?).ok_or(CliError::Usage)?,
             "--no-pointsto" => opts.pointsto = false,
             "--pointsto" => opts.pointsto = true,
             "--targeted" => opts.targeted = true,
             "--no-incremental" => no_incremental = true,
-            "--summary-cache-path" => match it.next() {
-                Some(p) => opts.summary_cache_path = Some(p.into()),
-                None => return usage(),
-            },
+            "--summary-cache-path" => opts.summary_cache_path = Some(args.value()?.into()),
             "--no-async" => slice.async_heuristic = false,
             "--no-augment" => slice.augmentation = false,
-            "--scope" => match it.next() {
-                Some(p) => opts.scope_prefix = Some(p),
-                None => return usage(),
-            },
-            "--hops" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => slice.async_hops = n,
-                None => return usage(),
-            },
-            "--depth" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => slice.max_field_depth = n,
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => opts.jobs = n,
-                None => return usage(),
-            },
+            "--scope" => opts.scope_prefix = Some(args.value()?),
+            "--hops" => slice.async_hops = args.parse()?,
+            "--depth" => slice.max_field_depth = args.parse()?,
+            "--jobs" => opts.jobs = args.parse()?,
             "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
+                eprintln!("{USAGE}");
+                return Ok(());
             }
             other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
-            _ => return usage(),
+            _ => return Err(CliError::Usage),
         }
     }
-    let Some(path) = path else { return usage() };
+    let path = path.ok_or(CliError::Usage)?;
     opts.slice = slice;
     if no_incremental {
         opts.summary_cache_path = None;
     }
 
-    let src = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("extractocol: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let apk = match extractocol_ir::parser::parse_apk(&src) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("extractocol: {path}: parse error at {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let src = cli::read(&path)?;
+    let apk = extractocol_ir::parser::parse_apk(&src)
+        .map_err(|e| CliError::Fail(format!("{path}: parse error at {e}")))?;
     let errs = extractocol_ir::validate::validate_apk(&apk);
     if !errs.is_empty() {
-        for e in errs.iter().take(5) {
-            eprintln!("extractocol: {path}: invalid IR: {e}");
-        }
-        return ExitCode::FAILURE;
+        let lines: Vec<String> =
+            errs.iter().take(5).map(|e| format!("{path}: invalid IR: {e}")).collect();
+        return Err(CliError::Fail(lines.join("\nextractocol: ")));
     }
 
     // Tracing is off-by-default: the disabled collector costs one branch
     // per span site, so the plain path stays within the perf gates.
-    let trace = if trace_out.is_some() || flame_out.is_some() || trace_summary {
-        TraceCollector::enabled()
-    } else {
-        TraceCollector::disabled()
-    };
+    let trace = cli::collector(trace_out.is_some() || flame_out.is_some() || trace_summary);
     let mut analyzer = Extractocol::with_options(opts);
-    let events = if let Some(out) = &log_out {
-        let events = EventLog::enabled(log_level);
-        match std::fs::File::create(out) {
-            Ok(file) => events.set_sink(Box::new(file), SinkFormat::Text),
-            Err(e) => {
-                eprintln!("extractocol: cannot create {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        events
-    } else {
-        EventLog::disabled()
-    };
-    analyzer.set_instruments(trace.clone(), events);
+    analyzer.set_instruments(trace.clone(), cli::event_log(log_out.as_deref(), log_level)?);
     let report = analyzer.analyze(&apk);
     let spans = trace.drain();
-    if let Some(out) = &trace_out {
-        let json = extractocol_obs::chrome_trace_json(&spans);
-        if let Err(e) = std::fs::write(out, json) {
-            eprintln!("extractocol: cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(out) = &flame_out {
-        if let Err(e) = std::fs::write(out, extractocol_obs::collapsed_stacks(&spans)) {
-            eprintln!("extractocol: cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    cli::write_out(trace_out.as_deref(), || extractocol_obs::chrome_trace_json(&spans))?;
+    cli::write_out(flame_out.as_deref(), || extractocol_obs::collapsed_stacks(&spans))?;
     if trace_summary {
         // Enough rows that every pipeline phase stays visible for a
         // single-app run; dp/txn spans beyond that are still in the
@@ -190,13 +119,7 @@ fn main() -> ExitCode {
             println!("({} span(s) dropped at the collector capacity)", trace.dropped());
         }
     }
-    if let Some(out) = &metrics_out {
-        let text = report.metrics.export_registry().render();
-        if let Err(e) = std::fs::write(out, text) {
-            eprintln!("extractocol: cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    cli::write_out(metrics_out.as_deref(), || report.metrics.export_registry().render())?;
     if show_lints {
         print!("{}", report.metrics.lints.to_text());
         if report.metrics.lints.lints.is_empty() {
@@ -242,5 +165,5 @@ fn main() -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

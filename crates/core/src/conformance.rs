@@ -214,10 +214,10 @@ fn dual_match(sig: &SigPat, re: &Regex, input: &str) -> Verdict {
     }
 }
 
-/// Mirrors the trace-level body check (`extractocol-dynamic`'s
-/// `body_matches`) for request bodies: constant form keys must be present,
-/// JSON/XML bodies must satisfy the tree signature, text signatures accept
-/// anything, and mismatched representation kinds fail.
+/// The request-body check: constant form keys must be present (by the
+/// structural matcher and by the compiled regex), JSON/XML bodies must
+/// satisfy the tree signature, text signatures accept anything, and
+/// mismatched representation kinds fail.
 ///
 /// Public because the signature-serving classifier (`extractocol-serve`)
 /// applies the *same* body semantics to surviving candidates — a request

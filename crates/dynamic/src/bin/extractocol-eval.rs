@@ -23,20 +23,16 @@
 //! `--timings` prints the `PhaseTimings` table — including the
 //! conformance slot, so the total matches the end-to-end run.
 
-use extractocol_core::{EventLog, Level, SinkFormat, TraceCollector};
+use extractocol_core::Level;
 use extractocol_dynamic::conformance::{conformance_check_with, mutation_self_test, EvalConfig};
+use extractocol_obs::cli::{self, Args, CliError};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: extractocol-eval (--conformance | --conformance-mutate) \
-         [--app <name>] [--jobs <n>] [--seed <n>] [--sites <n>] [--timings] \
-         [--targeted] [--summary-cache-dir <dir>] [--no-incremental] \
-         [--report-out <file>] [--trace-out <file>] [--trace-summary] \
-         [--metrics-out <file>] [--log-out <file>] [--log-level <level>]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: extractocol-eval (--conformance | --conformance-mutate) \
+     [--app <name>] [--jobs <n>] [--seed <n>] [--sites <n>] [--timings] \
+     [--targeted] [--summary-cache-dir <dir>] [--no-incremental] \
+     [--report-out <file>] [--trace-out <file>] [--trace-summary] \
+     [--metrics-out <file>] [--log-out <file>] [--log-level <level>]";
 
 /// A per-app `.exsm` filename inside the cache dir: the app name with
 /// anything outside `[A-Za-z0-9._-]` mapped to `_`.
@@ -49,7 +45,10 @@ fn cache_file(dir: &str, app: &str) -> std::path::PathBuf {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    cli::finish("extractocol-eval", USAGE, run())
+}
+
+fn run() -> Result<(), CliError> {
     let mut conformance = false;
     let mut mutate = false;
     let mut app_filter: Option<String> = None;
@@ -67,64 +66,34 @@ fn main() -> ExitCode {
     let mut no_incremental = false;
     let mut cache_dir: Option<String> = None;
 
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    let mut args = Args::from_env();
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--conformance" => conformance = true,
             "--conformance-mutate" => mutate = true,
             "--timings" => timings = true,
             "--targeted" => targeted = true,
             "--no-incremental" => no_incremental = true,
-            "--summary-cache-dir" => match it.next() {
-                Some(d) => cache_dir = Some(d),
-                None => return usage(),
-            },
-            "--report-out" => match it.next() {
-                Some(p) => report_out = Some(p),
-                None => return usage(),
-            },
+            "--summary-cache-dir" => cache_dir = Some(args.value()?),
+            "--report-out" => report_out = Some(args.value()?),
             "--trace-summary" => trace_summary = true,
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p),
-                None => return usage(),
-            },
-            "--log-out" => match it.next() {
-                Some(p) => log_out = Some(p),
-                None => return usage(),
-            },
-            "--log-level" => match it.next().and_then(|l| Level::parse(&l)) {
-                Some(l) => log_level = l,
-                None => return usage(),
-            },
-            "--app" => match it.next() {
-                Some(n) => app_filter = Some(n),
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => jobs = n,
-                None => return usage(),
-            },
-            "--seed" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => seed = n,
-                None => return usage(),
-            },
-            "--sites" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => sites = n,
-                None => return usage(),
-            },
+            "--trace-out" => trace_out = Some(args.value()?),
+            "--metrics-out" => metrics_out = Some(args.value()?),
+            "--log-out" => log_out = Some(args.value()?),
+            "--log-level" => log_level = Level::parse(&args.value()?).ok_or(CliError::Usage)?,
+            "--app" => app_filter = Some(args.value()?),
+            "--jobs" => jobs = args.parse()?,
+            "--seed" => seed = args.parse()?,
+            "--sites" => sites = args.parse()?,
             "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
+                eprintln!("{USAGE}");
+                return Ok(());
             }
-            _ => return usage(),
+            _ => return Err(CliError::Usage),
         }
     }
     if conformance == mutate {
-        return usage();
+        return Err(CliError::Usage);
     }
     if no_incremental {
         cache_dir = None;
@@ -134,34 +103,17 @@ fn main() -> ExitCode {
     if let Some(name) = &app_filter {
         apps.retain(|a| &a.truth.name == name);
         if apps.is_empty() {
-            eprintln!("extractocol-eval: no corpus app named {name:?}");
-            return ExitCode::FAILURE;
+            return Err(CliError::Fail(format!("no corpus app named {name:?}")));
         }
     }
 
     // Driver-level structured events: one record per app plus run
     // start/finish milestones (the per-phase pipeline events live behind
     // `extractocol --log-out`; the eval driver reports outcomes).
-    let events = if let Some(out) = &log_out {
-        let log = EventLog::enabled(log_level);
-        match std::fs::File::create(out) {
-            Ok(file) => log.set_sink(Box::new(file), SinkFormat::Text),
-            Err(e) => {
-                eprintln!("extractocol-eval: cannot create {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        log
-    } else {
-        EventLog::disabled()
-    };
+    let events = cli::event_log(log_out.as_deref(), log_level)?;
 
     if conformance {
-        let trace = if trace_out.is_some() || trace_summary {
-            TraceCollector::enabled()
-        } else {
-            TraceCollector::disabled()
-        };
+        let trace = cli::collector(trace_out.is_some() || trace_summary);
         events
             .info("eval", "conformance run started")
             .field("apps", apps.len() as u64)
@@ -169,10 +121,8 @@ fn main() -> ExitCode {
             .field("targeted", targeted)
             .emit();
         if let Some(dir) = &cache_dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("extractocol-eval: cannot create {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::fs::create_dir_all(dir)
+                .map_err(|e| CliError::Fail(format!("cannot create {dir}: {e}")))?;
         }
         let mut dirty = 0usize;
         let mut report_lines = String::new();
@@ -215,15 +165,9 @@ fn main() -> ExitCode {
                 println!("{} phase timings:", app.truth.name);
                 print!("{}", report.metrics.phases.to_text());
             }
-            if let Some(path) = &metrics_out {
-                // One exposition file per run; last app wins per-app
-                // instruments, aggregate files belong to serve's batch path.
-                let text = report.metrics.export_registry().render();
-                if let Err(e) = std::fs::write(path, text) {
-                    eprintln!("extractocol-eval: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            // One exposition file per run; last app wins per-app
+            // instruments, aggregate files belong to serve's batch path.
+            cli::write_out(metrics_out.as_deref(), || report.metrics.export_registry().render())?;
             if !conf.is_clean() {
                 dirty += 1;
             }
@@ -236,19 +180,10 @@ fn main() -> ExitCode {
                 .field("duration_us", report.stats.duration.as_micros() as u64)
                 .emit();
         }
-        if let Some(path) = &report_out {
-            if let Err(e) = std::fs::write(path, report_lines) {
-                eprintln!("extractocol-eval: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        cli::write_out(report_out.as_deref(), || report_lines)?;
         let spans = trace.drain();
+        cli::write_out(trace_out.as_deref(), || extractocol_obs::chrome_trace_json(&spans))?;
         if let Some(path) = &trace_out {
-            let json = extractocol_obs::chrome_trace_json(&spans);
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("extractocol-eval: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
             println!("wrote {} span(s) to {path} ({} dropped)", spans.len(), trace.dropped());
         }
         if trace_summary {
@@ -260,25 +195,20 @@ fn main() -> ExitCode {
             .field("dirty", dirty as u64)
             .emit();
         if dirty > 0 {
-            eprintln!("extractocol-eval: {dirty} app(s) with conformance diagnostics");
-            return ExitCode::FAILURE;
+            return Err(CliError::Fail(format!("{dirty} app(s) with conformance diagnostics")));
         }
         println!("conformance: all {} app(s) clean", apps.len());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     let summary = mutation_self_test(&apps, seed, sites, jobs);
     print!("{}", summary.to_text());
     if summary.total() == 0 {
-        eprintln!("extractocol-eval: no mutation sites found");
-        return ExitCode::FAILURE;
+        return Err(CliError::Fail("no mutation sites found".into()));
     }
     if summary.rate() < 0.9 {
-        eprintln!(
-            "extractocol-eval: detection rate {:.1}% below the 90% gate",
-            100.0 * summary.rate()
-        );
-        return ExitCode::FAILURE;
+        let rate = 100.0 * summary.rate();
+        return Err(CliError::Fail(format!("detection rate {rate:.1}% below the 90% gate")));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

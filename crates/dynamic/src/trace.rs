@@ -10,7 +10,7 @@
 //!   key/value pairs (Rv), and by fully-wildcard content (Rn).
 
 use extractocol_core::report::{AnalysisReport, TxnReport};
-use extractocol_core::sigbuild::{BodySig, ResponseSig};
+use extractocol_core::sigbuild::ResponseSig;
 use extractocol_http::{Body, HttpMethod, Regex, Transaction};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -558,21 +558,6 @@ pub fn response_byte_fractions(report: &AnalysisReport, trace: &TrafficTrace) ->
         }
     }
     total
-}
-
-/// Validates a request body against its static body signature (used by
-/// integration tests for the logical-equivalence check).
-pub fn body_matches(sig: &BodySig, body: &Body) -> bool {
-    match (sig, body) {
-        (BodySig::Form(pairs), Body::Form(concrete)) => pairs.iter().all(|(k, _)| {
-            let key_re = Regex::new(&k.to_regex());
-            key_re.map(|re| concrete.iter().any(|(ck, _)| re.is_match(ck))).unwrap_or(false)
-        }),
-        (BodySig::Json(js), Body::Json(j)) => js.matches(j),
-        (BodySig::Xml(xs), Body::Xml(x)) => xs.matches(x),
-        (BodySig::Text(_), _) => true,
-        _ => false,
-    }
 }
 
 #[cfg(test)]

@@ -13,68 +13,57 @@
 //! symmetric relative threshold (default 25%). Exits 0 when clean, 1 on
 //! any regression, 2 on usage or parse errors.
 
+use extractocol_obs::cli::{self, Args, CliError};
 use extractocol_obs::{diff, parse_prometheus, DiffConfig};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: extractocol-obs-diff <baseline> <current> \
-         [--per-run-threshold <0..1>] [--ignore-per-run] [--quiet]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: extractocol-obs-diff <baseline> <current> \
+     [--per-run-threshold <0..1>] [--ignore-per-run] [--quiet]";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run() {
+        // The regression table is already on stdout.
+        Ok(true) => ExitCode::FAILURE,
+        outcome => cli::finish("extractocol-obs-diff", USAGE, outcome.map(|_| ())),
+    }
+}
+
+/// Diffs the two snapshots; `Ok(true)` is a regression.
+fn run() -> Result<bool, CliError> {
     let mut paths: Vec<String> = Vec::new();
     let mut cfg = DiffConfig::default();
     let mut quiet = false;
 
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    let mut args = Args::from_env();
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--ignore-per-run" => cfg.ignore_per_run = true,
             "--quiet" => quiet = true,
-            "--per-run-threshold" => match it.next().and_then(|n| n.parse::<f64>().ok()) {
-                Some(t) if t.is_finite() && t >= 0.0 => cfg.per_run_threshold = t,
-                _ => return usage(),
+            "--per-run-threshold" => match args.parse::<f64>()? {
+                t if t.is_finite() && t >= 0.0 => cfg.per_run_threshold = t,
+                _ => return Err(CliError::Usage),
             },
             "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
+                eprintln!("{USAGE}");
+                return Ok(false);
             }
             other if !other.starts_with('-') => paths.push(other.to_string()),
-            _ => return usage(),
+            _ => return Err(CliError::Usage),
         }
     }
     if paths.len() != 2 {
-        return usage();
+        return Err(CliError::Usage);
     }
 
     let mut snaps = Vec::new();
     for path in &paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("extractocol-obs-diff: cannot read {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        match parse_prometheus(&text) {
-            Ok(s) => snaps.push(s),
-            Err(e) => {
-                eprintln!("extractocol-obs-diff: {path}: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| CliError::Input(format!("cannot read {path}: {e}")))?;
+        snaps.push(parse_prometheus(&text).map_err(|e| CliError::Input(format!("{path}: {e}")))?);
     }
     let report = diff(&snaps[0], &snaps[1], &cfg);
     if !quiet {
         print!("{}", report.to_text());
     }
-    if report.is_regression() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(report.is_regression())
 }

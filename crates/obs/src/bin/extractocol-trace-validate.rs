@@ -9,32 +9,25 @@
 //! per-thread monotonic timestamps, proper nesting) and prints the trace
 //! statistics; exits non-zero with the first violation otherwise.
 
+use extractocol_obs::cli::{self, Args, CliError};
 use extractocol_obs::validate_chrome_trace;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let Some(path) = std::env::args().nth(1) else {
-        eprintln!("usage: extractocol-trace-validate <trace.json>");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("extractocol-trace-validate: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match validate_chrome_trace(&text) {
-        Ok(stats) => {
-            println!(
-                "{path}: valid trace — {} event(s), {} thread(s), max depth {}, {}us span",
-                stats.events, stats.threads, stats.max_depth, stats.span_end_us
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("extractocol-trace-validate: {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::finish(
+        "extractocol-trace-validate",
+        "usage: extractocol-trace-validate <trace.json>",
+        run(),
+    )
+}
+
+fn run() -> Result<(), CliError> {
+    let path = Args::from_env().next().ok_or(CliError::Usage)?;
+    let text = cli::read(&path)?;
+    let stats = validate_chrome_trace(&text).map_err(|e| CliError::Fail(format!("{path}: {e}")))?;
+    println!(
+        "{path}: valid trace — {} event(s), {} thread(s), max depth {}, {}us span",
+        stats.events, stats.threads, stats.max_depth, stats.span_end_us
+    );
+    Ok(())
 }

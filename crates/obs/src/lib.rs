@@ -26,10 +26,14 @@
 //! * [`diff`](mod@diff) — snapshot diffing for `extractocol-obs-diff`: parses
 //!   Prometheus-text snapshots, compares the deterministic family
 //!   exactly and the per-run family against relative thresholds.
+//! * [`cli`] — the command-line layer the workspace's binaries share:
+//!   argument cursor, [`cli::CliError`] with its exit codes, and the
+//!   `--log-out` / `--*-out` instrument actions.
 //!
 //! Everything here is *observational*: nothing feeds back into analysis
 //! results, and nothing enters canonical report serialization.
 
+pub mod cli;
 pub mod diff;
 pub mod export;
 pub mod log;

@@ -29,8 +29,8 @@
 //! lines plus the `PING`/`STATS`/`SWAP`/`METRICS`/`HEALTH`/`SLOW`/
 //! `SHUTDOWN` control verbs.
 
-use extractocol_core::TraceCollector;
-use extractocol_obs::{EventLog, Level, SinkFormat};
+use extractocol_obs::cli::{self, Args, CliError};
+use extractocol_obs::Level;
 use extractocol_serve::bench as serve_bench;
 use extractocol_serve::{
     classify_batch, classify_batch_observed, Daemon, DaemonConfig, ServeMetrics, SignatureIndex,
@@ -38,41 +38,41 @@ use extractocol_serve::{
 };
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: extractocol-serve compile (--report <app.jimple> ... | --corpus | --app <name>) \
-         --out <index.exsv> [--jobs <n>]\n       \
-         extractocol-serve classify (--index <index.exsv> | --report <app.jimple> ... | \
-         --corpus | --app <name>) --traffic <file> [--jobs <n>] [--json] \
-         [--metrics-out <file>] [--trace-out <file>]\n       \
-         extractocol-serve daemon --index <index.exsv> (--stdin | --listen <addr>) \
-         [--port-file <file>] [--metrics-out <file>] [--trace-out <file>] \
-         [--log-out <file>] [--log-level trace|debug|info|warn|error]\n       \
-         extractocol-serve send (--addr <host:port> | --port-file <file>) --traffic <file>\n       \
-         extractocol-serve scrape (--addr <host:port> | --port-file <file>) \
-         --verb METRICS|HEALTH|SLOW|STATS [--out <file>]\n       \
-         extractocol-serve attack [--index <index.exsv>] [--seed <n>] [--per-class <n>] \
-         [--jobs <n>] [--out <file>] [--metrics-out <file>] [--json]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str =
+    "usage: extractocol-serve compile (--report <app.jimple> ... | --corpus | --app <name>) \
+     --out <index.exsv> [--jobs <n>]\n       \
+     extractocol-serve classify (--index <index.exsv> | --report <app.jimple> ... | \
+     --corpus | --app <name>) --traffic <file> [--jobs <n>] [--json] \
+     [--metrics-out <file>] [--trace-out <file>]\n       \
+     extractocol-serve daemon --index <index.exsv> (--stdin | --listen <addr>) \
+     [--port-file <file>] [--metrics-out <file>] [--trace-out <file>] \
+     [--log-out <file>] [--log-level trace|debug|info|warn|error]\n       \
+     extractocol-serve send (--addr <host:port> | --port-file <file>) --traffic <file>\n       \
+     extractocol-serve scrape (--addr <host:port> | --port-file <file>) \
+     --verb METRICS|HEALTH|SLOW|STATS [--out <file>]\n       \
+     extractocol-serve attack [--index <index.exsv>] [--seed <n>] [--per-class <n>] \
+     [--jobs <n>] [--out <file>] [--metrics-out <file>] [--json]";
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
+    cli::finish("extractocol-serve", USAGE, run())
+}
+
+fn run() -> Result<(), CliError> {
+    let mut args = Args::from_env();
     match args.next().as_deref() {
-        Some("compile") => cmd_compile(args.collect()),
-        Some("classify") => cmd_classify(args.collect()),
-        Some("daemon") => cmd_daemon(args.collect()),
-        Some("send") => cmd_send(args.collect()),
-        Some("scrape") => cmd_scrape(args.collect()),
-        Some("attack") => cmd_attack(args.collect()),
+        Some("compile") => cmd_compile(args),
+        Some("classify") => cmd_classify(args),
+        Some("daemon") => cmd_daemon(args),
+        Some("send") => cmd_send(args),
+        Some("scrape") => cmd_scrape(args),
+        Some("attack") => cmd_attack(args),
         Some("--help") | Some("-h") => {
-            usage();
-            ExitCode::SUCCESS
+            eprintln!("{USAGE}");
+            Ok(())
         }
-        _ => usage(),
+        _ => Err(CliError::Usage),
     }
 }
 
@@ -83,23 +83,11 @@ fn build_reports(
     use_corpus: bool,
     app_filter: Option<&str>,
     jobs: usize,
-) -> Result<Vec<extractocol_core::report::AnalysisReport>, ExitCode> {
+) -> Result<Vec<extractocol_core::report::AnalysisReport>, CliError> {
     let mut reports = Vec::new();
     for path in report_paths {
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("extractocol-serve: cannot read {path}: {e}");
-                return Err(ExitCode::FAILURE);
-            }
-        };
-        let apk = match extractocol_ir::parser::parse_apk(&src) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("extractocol-serve: {path}: parse error at {e}");
-                return Err(ExitCode::FAILURE);
-            }
-        };
+        let apk = extractocol_ir::parser::parse_apk(&cli::read(path)?)
+            .map_err(|e| CliError::Fail(format!("{path}: parse error at {e}")))?;
         reports.push(extractocol_dynamic::conformance::analyze_app(&apk, false, jobs));
     }
     if use_corpus || app_filter.is_some() {
@@ -107,8 +95,7 @@ fn build_reports(
         if let Some(name) = app_filter {
             apps.retain(|a| a.truth.name == name);
             if apps.is_empty() {
-                eprintln!("extractocol-serve: no corpus app named {name:?}");
-                return Err(ExitCode::FAILURE);
+                return Err(CliError::Fail(format!("no corpus app named {name:?}")));
             }
         }
         for app in &apps {
@@ -124,74 +111,61 @@ fn build_reports(
 
 /// Loads a compiled index from a persistent archive, with the typed
 /// error rendered for humans.
-fn load_index(path: &str) -> Result<SignatureIndex, ExitCode> {
-    match extractocol_serve::read_archive_file(path) {
-        Ok(index) => Ok(index),
-        Err(e) => {
-            eprintln!("extractocol-serve: cannot load index {path}: {e}");
-            Err(ExitCode::FAILURE)
-        }
+fn load_index(path: &str) -> Result<SignatureIndex, CliError> {
+    extractocol_serve::read_archive_file(path)
+        .map_err(|e| CliError::Fail(format!("cannot load index {path}: {e}")))
+}
+
+/// The daemon address from `--addr`, or from the port a daemon wrote to
+/// `--port-file`.
+fn daemon_addr(addr: Option<String>, port_file: Option<String>) -> Result<String, CliError> {
+    match (addr, port_file) {
+        (Some(a), _) => Ok(a),
+        (None, Some(path)) => Ok(format!("127.0.0.1:{}", cli::read(&path)?.trim())),
+        (None, None) => Err(CliError::Usage),
     }
 }
 
 /// `extractocol-serve compile`: build the index once, write the archive.
-fn cmd_compile(args: Vec<String>) -> ExitCode {
+fn cmd_compile(mut args: Args) -> Result<(), CliError> {
     let mut report_paths: Vec<String> = Vec::new();
     let mut use_corpus = false;
     let mut app_filter: Option<String> = None;
     let mut out: Option<String> = None;
     let mut jobs = 0usize;
 
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--report" => match it.next() {
-                Some(p) => report_paths.push(p),
-                None => return usage(),
-            },
+            "--report" => report_paths.push(args.value()?),
             "--corpus" => use_corpus = true,
-            "--app" => match it.next() {
-                Some(n) => app_filter = Some(n),
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = Some(p),
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => jobs = n,
-                None => return usage(),
-            },
-            _ => return usage(),
+            "--app" => app_filter = Some(args.value()?),
+            "--out" => out = Some(args.value()?),
+            "--jobs" => jobs = args.parse()?,
+            _ => return Err(CliError::Usage),
         }
     }
-    let Some(out_path) = out else { return usage() };
+    let out_path = out.ok_or(CliError::Usage)?;
     if report_paths.is_empty() && !use_corpus && app_filter.is_none() {
-        return usage();
+        return Err(CliError::Usage);
     }
 
     let t = Instant::now();
-    let reports = match build_reports(&report_paths, use_corpus, app_filter.as_deref(), jobs) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
+    let reports = build_reports(&report_paths, use_corpus, app_filter.as_deref(), jobs)?;
     let index = SignatureIndex::compile(&reports);
     let compile_secs = t.elapsed().as_secs_f64();
-    if let Err(e) = extractocol_serve::write_archive_file(&index, &out_path) {
-        eprintln!("extractocol-serve: cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
+    extractocol_serve::write_archive_file(&index, &out_path)
+        .map_err(|e| CliError::Fail(format!("cannot write {out_path}: {e}")))?;
     let bytes = std::fs::metadata(&out_path).map(|m| m.len()).unwrap_or(0);
     println!(
         "compiled {} signatures ({} trie nodes) in {compile_secs:.2}s -> {out_path} ({bytes} bytes)",
         index.len(),
         index.trie_nodes(),
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `extractocol-serve daemon`: serve the line protocol until SHUTDOWN.
-fn cmd_daemon(args: Vec<String>) -> ExitCode {
+fn cmd_daemon(mut args: Args) -> Result<(), CliError> {
     let mut index_path: Option<String> = None;
     let mut listen: Option<String> = None;
     let mut use_stdin = false;
@@ -201,78 +175,36 @@ fn cmd_daemon(args: Vec<String>) -> ExitCode {
     let mut log_out: Option<String> = None;
     let mut log_level = Level::Info;
 
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--index" => match it.next() {
-                Some(p) => index_path = Some(p),
-                None => return usage(),
-            },
-            "--listen" => match it.next() {
-                Some(addr) => listen = Some(addr),
-                None => return usage(),
-            },
+            "--index" => index_path = Some(args.value()?),
+            "--listen" => listen = Some(args.value()?),
             "--stdin" => use_stdin = true,
-            "--port-file" => match it.next() {
-                Some(p) => port_file = Some(p),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p),
-                None => return usage(),
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p),
-                None => return usage(),
-            },
-            "--log-out" => match it.next() {
-                Some(p) => log_out = Some(p),
-                None => return usage(),
-            },
-            "--log-level" => match it.next().and_then(|l| Level::parse(&l)) {
-                Some(l) => log_level = l,
-                None => return usage(),
-            },
-            _ => return usage(),
+            "--port-file" => port_file = Some(args.value()?),
+            "--metrics-out" => metrics_out = Some(args.value()?),
+            "--trace-out" => trace_out = Some(args.value()?),
+            "--log-out" => log_out = Some(args.value()?),
+            "--log-level" => log_level = Level::parse(&args.value()?).ok_or(CliError::Usage)?,
+            _ => return Err(CliError::Usage),
         }
     }
-    let Some(index_path) = index_path else { return usage() };
+    let index_path = index_path.ok_or(CliError::Usage)?;
     if use_stdin == listen.is_some() {
         // Exactly one transport.
-        return usage();
+        return Err(CliError::Usage);
     }
 
     let t_load = Instant::now();
-    let index = match load_index(&index_path) {
-        Ok(i) => i,
-        Err(code) => return code,
-    };
+    let index = load_index(&index_path)?;
     let load_secs = t_load.elapsed().as_secs_f64();
-    let trace =
-        if trace_out.is_some() { TraceCollector::enabled() } else { TraceCollector::disabled() };
-    let events = match &log_out {
-        Some(path) => {
-            let file = match std::fs::File::create(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("extractocol-serve: cannot create {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // Unbuffered on purpose: the CI gate greps the log while the
-            // daemon is still serving, so records must hit disk at emit
-            // time, not at shutdown.
-            let log = EventLog::enabled(log_level);
-            log.set_sink(Box::new(file), SinkFormat::Text);
-            log
-        }
-        None => EventLog::disabled(),
-    };
+    // The CI gate greps the event log while the daemon is still serving;
+    // `cli::event_log` writes each record at emit time.
+    let events = cli::event_log(log_out.as_deref(), log_level)?;
     let daemon = Arc::new(Daemon::with_observability(
         index,
         DaemonConfig::default(),
         extractocol_obs::Registry::new(),
-        trace,
+        cli::collector(trace_out.is_some()),
         events,
     ));
     daemon.metrics_index_load(load_secs);
@@ -294,175 +226,88 @@ fn cmd_daemon(args: Vec<String>) -> ExitCode {
         daemon.run_lines(stdin.lock(), stdout.lock())
     } else {
         let addr = listen.expect("checked above");
-        let listener = match std::net::TcpListener::bind(&addr) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("extractocol-serve: cannot bind {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let listener = std::net::TcpListener::bind(&addr)
+            .map_err(|e| CliError::Fail(format!("cannot bind {addr}: {e}")))?;
         let local = listener.local_addr().map(|a| a.to_string()).unwrap_or(addr);
-        if let Some(path) = &port_file {
-            let port = local.rsplit(':').next().unwrap_or("");
-            if let Err(e) = std::fs::write(path, format!("{port}\n")) {
-                eprintln!("extractocol-serve: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        cli::write_out(port_file.as_deref(), || {
+            format!("{}\n", local.rsplit(':').next().unwrap_or(""))
+        })?;
         eprintln!("daemon: listening on {local}");
         daemon.serve_tcp(listener)
     };
-    if let Err(e) = result {
-        eprintln!("extractocol-serve: daemon: {e}");
-        return ExitCode::FAILURE;
-    }
+    result.map_err(|e| CliError::Fail(format!("daemon: {e}")))?;
 
-    if let Some(path) = &metrics_out {
-        if let Err(e) = std::fs::write(path, daemon.registry.render()) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &trace_out {
-        let spans = daemon.trace.drain();
-        if let Err(e) = std::fs::write(path, extractocol_obs::chrome_trace_json(&spans)) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    cli::write_out(metrics_out.as_deref(), || daemon.registry.render())?;
+    cli::write_out(trace_out.as_deref(), || {
+        extractocol_obs::chrome_trace_json(&daemon.trace.drain())
+    })?;
     eprintln!("daemon: drained and shut down ({})", daemon.stats_line().replace('\t', " "));
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `extractocol-serve send`: line-protocol client. Streams a traffic
 /// file to a running daemon and prints one response per request line;
 /// exits non-zero if the daemon drops any response.
-fn cmd_send(args: Vec<String>) -> ExitCode {
+fn cmd_send(mut args: Args) -> Result<(), CliError> {
     let mut addr: Option<String> = None;
     let mut port_file: Option<String> = None;
     let mut traffic: Option<String> = None;
 
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = Some(v),
-                None => return usage(),
-            },
-            "--port-file" => match it.next() {
-                Some(p) => port_file = Some(p),
-                None => return usage(),
-            },
-            "--traffic" => match it.next() {
-                Some(p) => traffic = Some(p),
-                None => return usage(),
-            },
-            _ => return usage(),
+            "--addr" => addr = Some(args.value()?),
+            "--port-file" => port_file = Some(args.value()?),
+            "--traffic" => traffic = Some(args.value()?),
+            _ => return Err(CliError::Usage),
         }
     }
-    let Some(traffic_path) = traffic else { return usage() };
-    let addr = match (addr, port_file) {
-        (Some(a), _) => a,
-        (None, Some(path)) => match std::fs::read_to_string(&path) {
-            Ok(port) => format!("127.0.0.1:{}", port.trim()),
-            Err(e) => {
-                eprintln!("extractocol-serve: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, None) => return usage(),
-    };
-    let input = match std::fs::read_to_string(&traffic_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("extractocol-serve: cannot read {traffic_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match extractocol_serve::daemon::send_lines(&addr, &input) {
-        Ok(responses) => {
-            for r in &responses {
-                println!("{r}");
-            }
-            eprintln!("send: {} request(s), {} response(s)", responses.len(), responses.len());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("extractocol-serve: send: {e}");
-            ExitCode::FAILURE
-        }
+    let traffic_path = traffic.ok_or(CliError::Usage)?;
+    let addr = daemon_addr(addr, port_file)?;
+    let input = cli::read(&traffic_path)?;
+    let responses = extractocol_serve::daemon::send_lines(&addr, &input)
+        .map_err(|e| CliError::Fail(format!("send: {e}")))?;
+    for r in &responses {
+        println!("{r}");
     }
+    eprintln!("send: {} request(s), {} response(s)", responses.len(), responses.len());
+    Ok(())
 }
 
 /// `extractocol-serve scrape`: one-shot live introspection. Sends a
 /// single control verb to a running daemon and prints (or writes) the
 /// reply payload — the Prometheus exposition for `METRICS`, the health
 /// line for `HEALTH`, the exemplar dump for `SLOW`.
-fn cmd_scrape(args: Vec<String>) -> ExitCode {
+fn cmd_scrape(mut args: Args) -> Result<(), CliError> {
     let mut addr: Option<String> = None;
     let mut port_file: Option<String> = None;
     let mut verb: Option<String> = None;
     let mut out: Option<String> = None;
 
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = Some(v),
-                None => return usage(),
-            },
-            "--port-file" => match it.next() {
-                Some(p) => port_file = Some(p),
-                None => return usage(),
-            },
-            "--verb" => match it.next() {
-                Some(v) => verb = Some(v),
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = Some(p),
-                None => return usage(),
-            },
-            _ => return usage(),
+            "--addr" => addr = Some(args.value()?),
+            "--port-file" => port_file = Some(args.value()?),
+            "--verb" => verb = Some(args.value()?),
+            "--out" => out = Some(args.value()?),
+            _ => return Err(CliError::Usage),
         }
     }
-    let Some(verb) = verb else { return usage() };
+    let verb = verb.ok_or(CliError::Usage)?;
     // Only introspection verbs: scrape must never mutate daemon state.
     if !matches!(verb.as_str(), "METRICS" | "HEALTH" | "SLOW" | "STATS" | "PING") {
         eprintln!("extractocol-serve: scrape verb must be METRICS|HEALTH|SLOW|STATS|PING");
-        return usage();
+        return Err(CliError::Usage);
     }
-    let addr = match (addr, port_file) {
-        (Some(a), _) => a,
-        (None, Some(path)) => match std::fs::read_to_string(&path) {
-            Ok(port) => format!("127.0.0.1:{}", port.trim()),
-            Err(e) => {
-                eprintln!("extractocol-serve: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, None) => return usage(),
-    };
-    match extractocol_serve::daemon::scrape(&addr, &verb) {
-        Ok(payload) => {
-            if let Some(path) = &out {
-                if let Err(e) = std::fs::write(path, &payload) {
-                    eprintln!("extractocol-serve: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            } else {
-                print!("{payload}");
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("extractocol-serve: scrape: {e}");
-            ExitCode::FAILURE
-        }
+    let addr = daemon_addr(addr, port_file)?;
+    let payload = extractocol_serve::daemon::scrape(&addr, &verb)
+        .map_err(|e| CliError::Fail(format!("scrape: {e}")))?;
+    if out.is_none() {
+        print!("{payload}");
     }
+    cli::write_out(out.as_deref(), || payload)
 }
 
-fn cmd_classify(args: Vec<String>) -> ExitCode {
+fn cmd_classify(mut args: Args) -> Result<(), CliError> {
     let mut report_paths: Vec<String> = Vec::new();
     let mut use_corpus = false;
     let mut app_filter: Option<String> = None;
@@ -473,91 +318,52 @@ fn cmd_classify(args: Vec<String>) -> ExitCode {
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
 
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--report" => match it.next() {
-                Some(p) => report_paths.push(p),
-                None => return usage(),
-            },
+            "--report" => report_paths.push(args.value()?),
             "--corpus" => use_corpus = true,
-            "--app" => match it.next() {
-                Some(n) => app_filter = Some(n),
-                None => return usage(),
-            },
-            "--index" => match it.next() {
-                Some(p) => index_path = Some(p),
-                None => return usage(),
-            },
-            "--traffic" => match it.next() {
-                Some(p) => traffic = Some(p),
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => jobs = n,
-                None => return usage(),
-            },
+            "--app" => app_filter = Some(args.value()?),
+            "--index" => index_path = Some(args.value()?),
+            "--traffic" => traffic = Some(args.value()?),
+            "--jobs" => jobs = args.parse()?,
             "--json" => json_out = true,
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p),
-                None => return usage(),
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p),
-                None => return usage(),
-            },
-            _ => return usage(),
+            "--metrics-out" => metrics_out = Some(args.value()?),
+            "--trace-out" => trace_out = Some(args.value()?),
+            _ => return Err(CliError::Usage),
         }
     }
-    let Some(traffic_path) = traffic else { return usage() };
+    let traffic_path = traffic.ok_or(CliError::Usage)?;
     let have_sources = !report_paths.is_empty() || use_corpus || app_filter.is_some();
     if index_path.is_none() && !have_sources {
-        return usage();
+        return Err(CliError::Usage);
     }
 
     // Index source: a persistent archive (fast path), or compile from
-    // jimple files / the corpus.
-    let t_compile = Instant::now();
-    let index = if let Some(path) = &index_path {
+    // jimple files / the corpus. Each is timed into its own phase gauge.
+    let t_index = Instant::now();
+    let (index, load_dur, compile_dur) = if let Some(path) = &index_path {
         if have_sources {
             eprintln!("extractocol-serve: --index excludes --report/--corpus/--app");
-            return usage();
+            return Err(CliError::Usage);
         }
-        match load_index(path) {
-            Ok(i) => i,
-            Err(code) => return code,
-        }
+        let index = load_index(path)?;
+        (index, t_index.elapsed(), Duration::ZERO)
     } else {
-        let reports = match build_reports(&report_paths, use_corpus, app_filter.as_deref(), jobs) {
-            Ok(r) => r,
-            Err(code) => return code,
-        };
-        SignatureIndex::compile(&reports)
+        let reports = build_reports(&report_paths, use_corpus, app_filter.as_deref(), jobs)?;
+        let index = SignatureIndex::compile(&reports);
+        (index, Duration::ZERO, t_index.elapsed())
     };
-    let compile_dur = t_compile.elapsed();
 
-    let text = match std::fs::read_to_string(&traffic_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("extractocol-serve: cannot read {traffic_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let trace = match extractocol_dynamic::TrafficTrace::parse_request_text("traffic", &text) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("extractocol-serve: {traffic_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let text = cli::read(&traffic_path)?;
+    let trace = extractocol_dynamic::TrafficTrace::parse_request_text("traffic", &text)
+        .map_err(|e| CliError::Fail(format!("{traffic_path}: {e}")))?;
     let requests: Vec<_> = trace.transactions.into_iter().map(|t| t.request).collect();
 
     // Instruments/spans only on request — the plain path stays the
     // uninstrumented classifier.
     let observed = metrics_out.is_some() || trace_out.is_some();
     let serve_metrics = ServeMetrics::new();
-    let collector =
-        if trace_out.is_some() { TraceCollector::enabled() } else { TraceCollector::disabled() };
+    let collector = cli::collector(trace_out.is_some());
     let t_classify = Instant::now();
     let (verdicts, stats) = if observed {
         classify_batch_observed(&index, &requests, jobs, &serve_metrics, &collector)
@@ -565,21 +371,12 @@ fn cmd_classify(args: Vec<String>) -> ExitCode {
         classify_batch(&index, &requests, jobs)
     };
     if observed {
-        serve_metrics.observe_phases(compile_dur, t_classify.elapsed());
+        serve_metrics.observe_phases(load_dur, compile_dur, t_classify.elapsed());
     }
-    if let Some(path) = &metrics_out {
-        if let Err(e) = std::fs::write(path, serve_metrics.registry.render()) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &trace_out {
-        let spans = collector.drain();
-        if let Err(e) = std::fs::write(path, extractocol_obs::chrome_trace_json(&spans)) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    cli::write_out(metrics_out.as_deref(), || serve_metrics.registry.render())?;
+    cli::write_out(trace_out.as_deref(), || {
+        extractocol_obs::chrome_trace_json(&collector.drain())
+    })?;
 
     if json_out {
         use extractocol_http::JsonValue;
@@ -624,7 +421,7 @@ fn cmd_classify(args: Vec<String>) -> ExitCode {
         }
         print!("{}", stats.to_text());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `extractocol-serve attack`: the adversarial robustness bench. Runs the
@@ -632,7 +429,7 @@ fn cmd_classify(args: Vec<String>) -> ExitCode {
 /// outcome table and the p99-under-attack latency, writes the attack
 /// metrics families on request, and fails when the trie and brute-force
 /// paths ever disagree on an adversarial input.
-fn cmd_attack(args: Vec<String>) -> ExitCode {
+fn cmd_attack(mut args: Args) -> Result<(), CliError> {
     let mut seed = 0xE57A_AC70u64;
     let mut per_class = 64usize;
     let mut jobs = 0usize;
@@ -641,53 +438,26 @@ fn cmd_attack(args: Vec<String>) -> ExitCode {
     let mut metrics_out: Option<String> = None;
     let mut json_out = false;
 
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--seed" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => seed = n,
-                None => return usage(),
-            },
-            "--index" => match it.next() {
-                Some(p) => index_path = Some(p),
-                None => return usage(),
-            },
-            "--per-class" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => per_class = n,
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => jobs = n,
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = Some(p),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p),
-                None => return usage(),
-            },
+            "--seed" => seed = args.parse()?,
+            "--index" => index_path = Some(args.value()?),
+            "--per-class" => per_class = args.parse()?,
+            "--jobs" => jobs = args.parse()?,
+            "--out" => out = Some(args.value()?),
+            "--metrics-out" => metrics_out = Some(args.value()?),
             "--json" => json_out = true,
-            _ => return usage(),
+            _ => return Err(CliError::Usage),
         }
     }
 
     let index = match &index_path {
-        Some(path) => match load_index(path) {
-            Ok(index) => index,
-            Err(code) => return code,
-        },
+        Some(path) => load_index(path)?,
         None => SignatureIndex::compile(&serve_bench::corpus_reports(jobs)),
     };
     let (report, metrics) = serve_bench::run_attack(&index, seed, per_class);
 
-    if let Some(path) = &metrics_out {
-        if let Err(e) = std::fs::write(path, metrics.registry.render()) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    cli::write_out(metrics_out.as_deref(), || metrics.registry.render())?;
     let json = report.to_json().to_json();
     if json_out {
         println!("{json}");
@@ -712,19 +482,13 @@ fn cmd_attack(args: Vec<String>) -> ExitCode {
             report.differential_checked, report.differential_disagreements
         );
     }
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-            eprintln!("extractocol-serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    cli::write_out(out.as_deref(), || format!("{json}\n"))?;
 
     if report.differential_disagreements > 0 {
-        eprintln!(
-            "extractocol-serve: trie and brute-force verdicts disagree on {} adversarial case(s)",
+        return Err(CliError::Fail(format!(
+            "trie and brute-force verdicts disagree on {} adversarial case(s)",
             report.differential_disagreements
-        );
-        return ExitCode::FAILURE;
+        )));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -39,6 +39,7 @@ pub struct ServeMetrics {
     index_signatures: Arc<Gauge>,
     index_trie_nodes: Arc<Gauge>,
     shard_imbalance: Arc<Gauge>,
+    load_seconds: Arc<Gauge>,
     compile_seconds: Arc<Gauge>,
     classify_seconds: Arc<Gauge>,
 }
@@ -118,8 +119,18 @@ impl ServeMetrics {
             run,
             "Slowest shard wall-clock over the mean shard wall-clock",
         );
-        let compile_seconds =
-            registry.gauge("serve_phase_compile_seconds", &[], run, "Index compile wall-clock");
+        let load_seconds = registry.gauge(
+            "serve_phase_load_seconds",
+            &[],
+            run,
+            "Index archive load wall-clock (0 when the index is compiled from reports)",
+        );
+        let compile_seconds = registry.gauge(
+            "serve_phase_compile_seconds",
+            &[],
+            run,
+            "Report analysis + index compile wall-clock (0 when the index is loaded from an archive)",
+        );
         let classify_seconds = registry.gauge(
             "serve_phase_classify_seconds",
             &[],
@@ -141,6 +152,7 @@ impl ServeMetrics {
             index_signatures,
             index_trie_nodes,
             shard_imbalance,
+            load_seconds,
             compile_seconds,
             classify_seconds,
         }
@@ -199,8 +211,11 @@ impl ServeMetrics {
         }
     }
 
-    /// Records the compile/classify phase wall-clocks.
-    pub fn observe_phases(&self, compile: Duration, classify: Duration) {
+    /// Records the phase wall-clocks. The index comes either from an
+    /// archive (`load`) or from analysing sources and compiling them
+    /// (`compile`); the phase that did not run is [`Duration::ZERO`].
+    pub fn observe_phases(&self, load: Duration, compile: Duration, classify: Duration) {
+        self.load_seconds.set(load.as_secs_f64());
         self.compile_seconds.set(compile.as_secs_f64());
         self.classify_seconds.set(classify.as_secs_f64());
     }
@@ -360,13 +375,14 @@ mod tests {
     #[test]
     fn latency_and_phases_stay_out_of_the_deterministic_snapshot() {
         let m = ServeMetrics::new();
-        m.observe_phases(Duration::from_millis(5), Duration::from_millis(9));
+        m.observe_phases(Duration::ZERO, Duration::from_millis(5), Duration::from_millis(9));
         m.observe_shards(&[Duration::from_millis(2), Duration::from_millis(4)]);
         let det = m.registry.render_deterministic();
         assert!(det.contains("serve_shards_total"));
         assert!(det.contains("serve_classify_candidate_fraction"));
         assert!(!det.contains("serve_classify_latency_us"));
         assert!(!det.contains("serve_shard_imbalance_ratio"));
+        assert!(!det.contains("serve_phase_load_seconds"));
         assert!(!det.contains("serve_phase_compile_seconds"));
     }
 

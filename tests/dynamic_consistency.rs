@@ -2,9 +2,10 @@
 //! produce traffic the static signatures match — URI, method, and body
 //! (the §5.1 "signature validity" and "logical equivalence" checks).
 
+use extractocol_core::conformance::request_body_matches;
 use extractocol_dynamic::eval::AppEval;
 use extractocol_dynamic::run_perfect_fuzzer;
-use extractocol_dynamic::trace::{body_matches, matching_transactions};
+use extractocol_dynamic::trace::matching_transactions;
 use extractocol_http::Body;
 
 #[test]
@@ -38,7 +39,7 @@ fn body_signatures_match_concrete_bodies() {
                     continue;
                 }
                 assert!(
-                    body_matches(body_sig, &hit.request.body),
+                    request_body_matches(body_sig, &hit.request.body),
                     "{}: #{} body signature {:?} vs concrete {:?}",
                     app.truth.name,
                     txn.id + 1,

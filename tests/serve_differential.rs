@@ -20,7 +20,7 @@ use extractocol_serve::bench::{corpus_reports, corpus_requests};
 use extractocol_serve::{
     classify_batch, classify_batch_observed, ServeMetrics, SignatureIndex, Verdict,
 };
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn corpus_index_and_requests() -> (SignatureIndex, Vec<extractocol_http::Request>) {
     (SignatureIndex::compile(&corpus_reports(1)), corpus_requests())
@@ -145,15 +145,14 @@ fn traffic_wire_format_round_trips_corpus_traces() {
 /// baseline regenerates it.
 #[test]
 fn classify_metrics_match_the_checked_in_baseline() {
-    let reports = corpus_reports(1);
     let t = Instant::now();
-    let index = SignatureIndex::compile(&reports);
+    let index = SignatureIndex::compile(&corpus_reports(1));
     let compile = t.elapsed();
     let requests: Vec<_> = corpus_requests().iter().cycle().take(50_000).cloned().collect();
     let metrics = ServeMetrics::new();
     let t = Instant::now();
     classify_batch_observed(&index, &requests, 0, &metrics, &TraceCollector::disabled());
-    metrics.observe_phases(compile, t.elapsed());
+    metrics.observe_phases(Duration::ZERO, compile, t.elapsed());
     let exposition = metrics.registry.render();
 
     let fail = |why: String| -> ! {
