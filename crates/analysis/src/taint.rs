@@ -31,6 +31,7 @@ use extractocol_ir::{
     Call, CallKind, Expr, IdentityKind, Local, MethodId, MethodRef, Place, ProgramIndex, Stmt,
     Value,
 };
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -101,7 +102,8 @@ pub enum Slot {
 /// semantic model; [`ConservativeModel`] is the default fallback.
 pub trait ApiFlowModel {
     /// Directed taint flows `(from, to)` induced by a call to `callee`.
-    fn flows(&self, callee: &MethodRef) -> Vec<(Slot, Slot)>;
+    /// A model that resolves its callees ahead of time lends them out.
+    fn flows(&self, callee: &MethodRef) -> Cow<'_, [(Slot, Slot)]>;
 }
 
 /// Fallback model: taint on any input reaches the return value and the
@@ -110,14 +112,14 @@ pub trait ApiFlowModel {
 pub struct ConservativeModel;
 
 impl ApiFlowModel for ConservativeModel {
-    fn flows(&self, callee: &MethodRef) -> Vec<(Slot, Slot)> {
+    fn flows(&self, callee: &MethodRef) -> Cow<'_, [(Slot, Slot)]> {
         let mut flows = Vec::new();
         for i in 0..callee.params.len() {
             flows.push((Slot::Arg(i), Slot::Return));
             flows.push((Slot::Arg(i), Slot::Receiver));
         }
         flows.push((Slot::Receiver, Slot::Return));
-        flows
+        Cow::Owned(flows)
     }
 }
 
@@ -1048,7 +1050,7 @@ impl<'e, 'p, 'g, 'm> Propagation<'e, 'p, 'g, 'm> {
             }
             if !in_slots.is_empty() {
                 touched = true;
-                for (from, to) in self.eng.model.flows(&call.callee) {
+                for (from, to) in self.eng.model.flows(&call.callee).iter().copied() {
                     if !in_slots.contains(&from) {
                         continue;
                     }
@@ -1293,7 +1295,7 @@ impl<'e, 'p, 'g, 'm> Propagation<'e, 'p, 'g, 'm> {
         }
         if modeled {
             // Reverse the API model: result tainted ⇒ inputs tainted.
-            for (from, to) in self.eng.model.flows(&call.callee) {
+            for (from, to) in self.eng.model.flows(&call.callee).iter().copied() {
                 if to != Slot::Return {
                     continue;
                 }
@@ -1355,7 +1357,7 @@ impl<'e, 'p, 'g, 'm> Propagation<'e, 'p, 'g, 'm> {
             // Modelled call: receiver/arg mutated from other inputs — e.g.
             // `sb.append(x)` backward: tainted sb ⇒ taint x.
             let mut any = false;
-            for (from, to) in self.eng.model.flows(&call.callee) {
+            for (from, to) in self.eng.model.flows(&call.callee).iter().copied() {
                 let to_matches = match to {
                     Slot::Receiver => op == OperandSource::Receiver,
                     Slot::Arg(i) => op == OperandSource::Arg(i),

@@ -3,7 +3,8 @@
 //! preprocessing pairs each request with its own response handler.
 
 use extractocol_analysis::{CallGraph, CallbackRegistry};
-use extractocol_core::{demarcation, pairing, semantics::SemanticModel, slicing};
+use extractocol_core::semantics::{CalleeTable, SemanticModel};
+use extractocol_core::{demarcation, pairing, slicing};
 use extractocol_ir::{ApkBuilder, ProgramIndex, Type, Value};
 
 fn main() {
@@ -68,11 +69,11 @@ fn main() {
     });
     let apk = b.build();
     let prog = ProgramIndex::new(&apk);
-    let model = SemanticModel::standard();
+    let callees = CalleeTable::build(&SemanticModel::standard(), &prog);
     let graph = CallGraph::build(&prog, &CallbackRegistry::android_defaults());
-    let sites = demarcation::scan(&prog, &model);
+    let sites = demarcation::scan(&prog, &callees);
     println!("demarcation points: {} (shared by both transactions)", sites.len());
-    let slices = slicing::slice_all(&prog, &graph, &model, &sites, &Default::default());
+    let slices = slicing::slice_all(&prog, &graph, &callees, &sites, &Default::default());
     let txns = pairing::pair(&prog, &graph, &slices);
     println!("transaction candidates: {}", txns.len());
     for t in &txns {

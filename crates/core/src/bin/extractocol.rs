@@ -77,10 +77,6 @@ fn run() -> Result<(), CliError> {
             "--hops" => slice.async_hops = args.parse()?,
             "--depth" => slice.max_field_depth = args.parse()?,
             "--jobs" => opts.jobs = args.parse()?,
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return Ok(());
-            }
             other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
             _ => return Err(CliError::Usage),
         }

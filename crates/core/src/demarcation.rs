@@ -7,7 +7,7 @@
 //! semantic model's DP specs and records, per site, where the request
 //! object and the response surface.
 
-use crate::semantics::{DpRequestLoc, DpResponseLoc, DpSpec, SemanticModel};
+use crate::semantics::{CalleeTable, DpRequestLoc, DpResponseLoc, DpSpec};
 use extractocol_http::HttpMethod;
 use extractocol_ir::{MethodId, Place, ProgramIndex, Stmt, Value};
 
@@ -42,13 +42,13 @@ impl DpSite {
 /// the one whose request operand carries the protocol content — is kept
 /// and the inner one dropped, so one network interaction yields one
 /// transaction.
-pub fn scan(prog: &ProgramIndex<'_>, model: &SemanticModel) -> Vec<DpSite> {
+pub fn scan(prog: &ProgramIndex<'_>, callees: &CalleeTable<'_>) -> Vec<DpSite> {
     let mut sites = Vec::new();
     for mid in prog.concrete_methods() {
         let body = &prog.method(mid).body;
         for (si, stmt) in body.iter().enumerate() {
             let Some(call) = stmt.call() else { continue };
-            let Some(spec) = model.demarcation(prog, &call.callee) else { continue };
+            let Some(spec) = callees.dp(&call.callee) else { continue };
             let request_value = match spec.request {
                 DpRequestLoc::Receiver => call.receiver.clone(),
                 DpRequestLoc::Arg(i) => call.args.get(i).cloned(),
@@ -61,7 +61,7 @@ pub fn scan(prog: &ProgramIndex<'_>, model: &SemanticModel) -> Vec<DpSite> {
                 id: 0, // assigned after dedup
                 method: mid,
                 stmt: si,
-                spec,
+                spec: spec.clone(),
                 request_value,
                 response_place,
             });
@@ -94,6 +94,7 @@ pub fn scan(prog: &ProgramIndex<'_>, model: &SemanticModel) -> Vec<DpSite> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::semantics::SemanticModel;
     use extractocol_ir::{ApkBuilder, Type};
 
     fn stubs(b: &mut ApkBuilder) {
@@ -138,7 +139,7 @@ mod tests {
         let apk = b.build();
         let prog = ProgramIndex::new(&apk);
         let model = SemanticModel::standard();
-        let sites = scan(&prog, &model);
+        let sites = scan(&prog, &CalleeTable::build(&model, &prog));
         assert_eq!(sites.len(), 1);
         let s = &sites[0];
         assert!(s.request_value.is_some());
@@ -176,7 +177,7 @@ mod tests {
         let apk = b.build();
         let prog = ProgramIndex::new(&apk);
         let model = SemanticModel::standard();
-        let sites = scan(&prog, &model);
+        let sites = scan(&prog, &CalleeTable::build(&model, &prog));
         assert_eq!(sites.len(), 1, "chained DP must deduplicate");
         assert_eq!(sites[0].spec.class, "okhttp3.OkHttpClient");
     }

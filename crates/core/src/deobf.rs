@@ -16,6 +16,7 @@
 
 use extractocol_ir::obfuscate::{apply_map, ObfuscationMap};
 use extractocol_ir::{Apk, Class, MethodRef};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 /// Minimum multiset-overlap score to accept a class match.
@@ -226,17 +227,20 @@ fn align_methods<'a>(
 }
 
 /// Rewrites the APK so inferred library classes/methods carry their
-/// canonical names again; the analysis then proceeds unchanged.
-pub fn deobfuscate(apk: &Apk, map: &LibraryMap) -> Apk {
+/// canonical names again; the analysis then proceeds unchanged. An empty
+/// map — libraries left unobfuscated, the common case — lends the input
+/// back ([`Cow::Borrowed`]) instead of copying it; only a real rename
+/// builds a new APK ([`Cow::Owned`]).
+pub fn deobfuscate<'a>(apk: &'a Apk, map: &LibraryMap) -> Cow<'a, Apk> {
     if map.is_empty() {
-        return apk.clone();
+        return Cow::Borrowed(apk);
     }
     let om = ObfuscationMap {
         classes: map.classes.clone(),
         methods: map.methods.clone(),
         fields: BTreeMap::new(),
     };
-    apply_map(apk, &om)
+    Cow::Owned(apply_map(apk, &om))
 }
 
 #[cfg(test)]
@@ -281,8 +285,9 @@ mod tests {
             "inferred: {:?}",
             inferred.classes
         );
-        // And applying it restores analyzable names.
+        // And applying it restores analyzable names, in a new APK.
         let recovered = deobfuscate(&obf, &inferred);
+        assert!(matches!(recovered, Cow::Owned(_)), "a rename builds a new APK");
         let rb = recovered.class("okhttp3.Request$Builder").expect("class back");
         assert!(rb.method("url", 1).is_some() || !inferred.methods.is_empty());
     }
@@ -294,7 +299,9 @@ mod tests {
         let apk = b.build();
         let map = infer_library_map(&apk, &stubs::library_reference());
         assert!(map.is_empty());
-        // deobfuscate is then the identity.
-        assert_eq!(deobfuscate(&apk, &map), apk);
+        // deobfuscate is then the identity, and lends the input back.
+        let out = deobfuscate(&apk, &map);
+        assert!(matches!(out, Cow::Borrowed(a) if std::ptr::eq(a, &apk)), "no copy");
+        assert_eq!(*out, apk);
     }
 }

@@ -21,7 +21,7 @@
 //!   which request fields originate from which response fields".
 
 use crate::pairing::Transaction;
-use crate::semantics::{ApiOp, CellKind, SemanticModel};
+use crate::semantics::{ApiOp, CalleeTable, CellKind};
 use crate::slicing::SliceSet;
 use extractocol_ir::{Call, Expr, Local, MethodId, Place, ProgramIndex, Stmt, Value};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -82,12 +82,12 @@ type DepViaKey = DepVia;
 /// Infers all dependency edges over the paired transactions.
 pub fn dependencies(
     prog: &ProgramIndex<'_>,
-    model: &SemanticModel,
+    callees: &CalleeTable<'_>,
     slices: &[SliceSet],
     txns: &[Transaction],
 ) -> Vec<DependencyEdge> {
     let cells: Vec<TxnCells> =
-        txns.iter().map(|t| collect_cells(prog, model, &slices[t.dp_index], t)).collect();
+        txns.iter().map(|t| collect_cells(prog, callees, &slices[t.dp_index], t)).collect();
 
     let mut out: BTreeSet<DependencyEdge> = BTreeSet::new();
 
@@ -108,7 +108,7 @@ pub fn dependencies(
                     && *site != (slices[b.dp_index].dp.method, slices[b.dp_index].dp.stmt)
             });
             if meaningful {
-                let resp_field = shared.iter().find_map(|&(m, s)| json_key_of(prog, model, m, s));
+                let resp_field = shared.iter().find_map(|&(m, s)| json_key_of(prog, callees, m, s));
                 out.insert(DependencyEdge {
                     from: a.id,
                     to: b.id,
@@ -146,7 +146,7 @@ pub fn dependencies(
 /// Collects the state cells a transaction's slices touch.
 fn collect_cells(
     prog: &ProgramIndex<'_>,
-    model: &SemanticModel,
+    callees: &CalleeTable<'_>,
     _slice: &SliceSet,
     txn: &Transaction,
 ) -> TxnCells {
@@ -158,24 +158,24 @@ fn collect_cells(
         match stmt {
             Stmt::Assign { place: Place::InstanceField { field, .. }, expr } => {
                 let key = DepVia::Field(format!("{}#{}", field.class, field.name));
-                let jf = expr_json_key(prog, model, m, s, expr);
+                let jf = expr_json_key(prog, callees, m, s, expr);
                 cells.resp_writes.entry(key).or_insert(jf);
             }
             Stmt::Assign { place: Place::StaticField(field), expr } => {
                 let key = DepVia::Static(format!("{}#{}", field.class, field.name));
-                let jf = expr_json_key(prog, model, m, s, expr);
+                let jf = expr_json_key(prog, callees, m, s, expr);
                 cells.resp_writes.entry(key).or_insert(jf);
             }
             _ => {}
         }
         if let Some(call) = stmt.call() {
-            match model.op_for(prog, &call.callee) {
+            match callees.op(&call.callee) {
                 ApiOp::CellPut(CellKind::Prefs) => {
                     if let Some(Value::Const(extractocol_ir::Const::Str(k))) = call.args.first() {
                         // Field granularity: which response key produced the
                         // stored value.
                         let jf =
-                            call.args.get(1).and_then(|v| value_json_key(prog, model, m, s, v));
+                            call.args.get(1).and_then(|v| value_json_key(prog, callees, m, s, v));
                         cells.resp_writes.entry(DepVia::Prefs(k.clone())).or_insert(jf);
                     }
                 }
@@ -196,7 +196,7 @@ fn collect_cells(
             Stmt::Assign { expr: Expr::Load(Place::InstanceField { field, .. }), place } => {
                 let key = DepVia::Field(format!("{}#{}", field.class, field.name));
                 let part = place.base_local().and_then(|_| match place {
-                    Place::Local(l) => request_part_of(prog, model, m, s, *l),
+                    Place::Local(l) => request_part_of(prog, callees, m, s, *l),
                     _ => None,
                 });
                 cells.req_reads.entry(key).or_insert(part);
@@ -204,7 +204,7 @@ fn collect_cells(
             Stmt::Assign { expr: Expr::Load(Place::StaticField(field)), place } => {
                 let key = DepVia::Static(format!("{}#{}", field.class, field.name));
                 let part = match place {
-                    Place::Local(l) => request_part_of(prog, model, m, s, *l),
+                    Place::Local(l) => request_part_of(prog, callees, m, s, *l),
                     _ => None,
                 };
                 cells.req_reads.entry(key).or_insert(part);
@@ -212,11 +212,11 @@ fn collect_cells(
             _ => {}
         }
         if let Some(call) = stmt.call() {
-            match model.op_for(prog, &call.callee) {
+            match callees.op(&call.callee) {
                 ApiOp::CellGet(CellKind::Prefs) => {
                     if let Some(Value::Const(extractocol_ir::Const::Str(k))) = call.args.first() {
-                        let part =
-                            result_local(stmt).and_then(|l| request_part_of(prog, model, m, s, l));
+                        let part = result_local(stmt)
+                            .and_then(|l| request_part_of(prog, callees, m, s, l));
                         cells.req_reads.entry(DepVia::Prefs(k.clone())).or_insert(part);
                     }
                 }
@@ -243,13 +243,13 @@ fn result_local(stmt: &Stmt) -> Option<Local> {
 /// within the method from statement `s`.
 fn value_json_key(
     prog: &ProgramIndex<'_>,
-    model: &SemanticModel,
+    callees: &CalleeTable<'_>,
     m: MethodId,
     s: usize,
     v: &Value,
 ) -> Option<String> {
     match v {
-        Value::Local(l) => expr_json_key(prog, model, m, s, &Expr::Use(Value::Local(*l))),
+        Value::Local(l) => expr_json_key(prog, callees, m, s, &Expr::Use(Value::Local(*l))),
         _ => None,
     }
 }
@@ -258,14 +258,14 @@ fn value_json_key(
 /// backward within the method.
 fn expr_json_key(
     prog: &ProgramIndex<'_>,
-    model: &SemanticModel,
+    callees: &CalleeTable<'_>,
     m: MethodId,
     s: usize,
     expr: &Expr,
 ) -> Option<String> {
     let mut cur: Local = match expr {
         Expr::Use(Value::Local(l)) => *l,
-        Expr::Invoke(c) => return call_json_key(prog, model, c),
+        Expr::Invoke(c) => return call_json_key(callees, c),
         _ => return None,
     };
     let body = &prog.method(m).body;
@@ -273,7 +273,7 @@ fn expr_json_key(
         match &body[i] {
             Stmt::Assign { place: Place::Local(l), expr } if *l == cur => match expr {
                 Expr::Use(Value::Local(src)) => cur = *src,
-                Expr::Invoke(c) => return call_json_key(prog, model, c),
+                Expr::Invoke(c) => return call_json_key(callees, c),
                 _ => return None,
             },
             _ => {}
@@ -282,8 +282,8 @@ fn expr_json_key(
     None
 }
 
-fn call_json_key(prog: &ProgramIndex<'_>, model: &SemanticModel, c: &Call) -> Option<String> {
-    match model.op_for(prog, &c.callee) {
+fn call_json_key(callees: &CalleeTable<'_>, c: &Call) -> Option<String> {
+    match callees.op(&c.callee) {
         ApiOp::JsonGet(_) => match c.args.first() {
             Some(Value::Const(extractocol_ir::Const::Str(k))) => Some(k.clone()),
             _ => None,
@@ -295,18 +295,18 @@ fn call_json_key(prog: &ProgramIndex<'_>, model: &SemanticModel, c: &Call) -> Op
 /// The JSON key read at a specific sliced statement (for direct overlaps).
 fn json_key_of(
     prog: &ProgramIndex<'_>,
-    model: &SemanticModel,
+    callees: &CalleeTable<'_>,
     m: MethodId,
     s: usize,
 ) -> Option<String> {
-    prog.method(m).body[s].call().and_then(|c| call_json_key(prog, model, c))
+    prog.method(m).body[s].call().and_then(|c| call_json_key(callees, c))
 }
 
 /// Where a loaded value ends up in the request being built: follows copies
 /// forward within the method and reports the consuming part.
 fn request_part_of(
     prog: &ProgramIndex<'_>,
-    model: &SemanticModel,
+    callees: &CalleeTable<'_>,
     m: MethodId,
     s: usize,
     start: Local,
@@ -328,7 +328,7 @@ fn request_part_of(
         if !uses_alias {
             continue;
         }
-        match model.op_for(prog, &call.callee) {
+        match callees.op(&call.callee) {
             ApiOp::SetHeader | ApiOp::OkHeader => {
                 if let Some(Value::Const(extractocol_ir::Const::Str(k))) = call.args.first() {
                     return Some(format!("header:{k}"));
@@ -373,6 +373,7 @@ mod tests {
     use super::*;
     use crate::demarcation;
     use crate::pairing::pair;
+    use crate::semantics::SemanticModel;
     use crate::slicing::{slice_all, SliceOptions};
     use extractocol_analysis::{CallGraph, CallbackRegistry};
     use extractocol_ir::{ApkBuilder, Type};
@@ -501,14 +502,14 @@ mod tests {
     fn login_token_feeds_vote_request() {
         let apk = login_then_vote();
         let prog = ProgramIndex::new(&apk);
-        let model = SemanticModel::standard();
+        let callees = CalleeTable::build(&SemanticModel::standard(), &prog);
         let graph = CallGraph::build(&prog, &CallbackRegistry::android_defaults());
-        let sites = demarcation::scan(&prog, &model);
+        let sites = demarcation::scan(&prog, &callees);
         assert_eq!(sites.len(), 2);
-        let slices = slice_all(&prog, &graph, &model, &sites, &SliceOptions::default());
+        let slices = slice_all(&prog, &graph, &callees, &sites, &SliceOptions::default());
         let txns = pair(&prog, &graph, &slices);
         assert_eq!(txns.len(), 2);
-        let deps = dependencies(&prog, &model, &slices, &txns);
+        let deps = dependencies(&prog, &callees, &slices, &txns);
         assert!(!deps.is_empty(), "must find login→vote dependency");
         // Find the modhash field edge with field granularity.
         let field_edges: Vec<&DependencyEdge> = deps

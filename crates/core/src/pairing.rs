@@ -197,7 +197,7 @@ fn reachable_within(
 mod tests {
     use super::*;
     use crate::demarcation;
-    use crate::semantics::SemanticModel;
+    use crate::semantics::{CalleeTable, SemanticModel};
     use crate::slicing::{slice_all, SliceOptions};
     use extractocol_analysis::CallbackRegistry;
     use extractocol_ir::{ApkBuilder, Type, Value};
@@ -293,11 +293,11 @@ mod tests {
     fn fig5_shared_dp_pairs_one_to_one() {
         let apk = fig5_apk();
         let prog = ProgramIndex::new(&apk);
-        let model = SemanticModel::standard();
+        let callees = CalleeTable::build(&SemanticModel::standard(), &prog);
         let graph = CallGraph::build(&prog, &CallbackRegistry::android_defaults());
-        let sites = demarcation::scan(&prog, &model);
+        let sites = demarcation::scan(&prog, &callees);
         assert_eq!(sites.len(), 1, "one shared DP");
-        let slices = slice_all(&prog, &graph, &model, &sites, &SliceOptions::default());
+        let slices = slice_all(&prog, &graph, &callees, &sites, &SliceOptions::default());
         let txns = pair(&prog, &graph, &slices);
         assert_eq!(txns.len(), 2, "two transaction candidates from one DP");
 
@@ -358,10 +358,10 @@ mod tests {
         });
         let apk = b.build();
         let prog = ProgramIndex::new(&apk);
-        let model = SemanticModel::standard();
+        let callees = CalleeTable::build(&SemanticModel::standard(), &prog);
         let graph = CallGraph::build(&prog, &CallbackRegistry::android_defaults());
-        let sites = demarcation::scan(&prog, &model);
-        let slices = slice_all(&prog, &graph, &model, &sites, &SliceOptions::default());
+        let sites = demarcation::scan(&prog, &callees);
+        let slices = slice_all(&prog, &graph, &callees, &sites, &SliceOptions::default());
         let txns = pair(&prog, &graph, &slices);
         assert_eq!(txns.len(), 1);
         assert_eq!(txns[0].pairing, Pairing::Unique);

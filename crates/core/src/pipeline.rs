@@ -5,14 +5,12 @@
 
 use crate::demarcation;
 use crate::deobf;
-use crate::flowmodel::SemanticFlowModel;
 use crate::interdep;
 use crate::metrics::{DpSliceMetrics, Metrics, PhaseTimings};
 use crate::pairing::{self, Pairing};
 use crate::par;
 use crate::report::{AnalysisReport, Stats, TxnReport};
-use crate::semantics::ApiOp;
-use crate::semantics::SemanticModel;
+use crate::semantics::{ApiOp, CalleeTable, SemanticModel};
 use crate::sigbuild::SignatureBuilder;
 use crate::slicing::{self, SliceOptions};
 use crate::stubs;
@@ -22,6 +20,7 @@ use extractocol_analysis::{
 use extractocol_incr::{Epoch, IncrStats, TargetedStats};
 use extractocol_ir::{Apk, MethodId, ProgramIndex};
 use extractocol_obs::{EventLog, TraceCollector};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -158,6 +157,7 @@ impl Extractocol {
             .emit();
 
         // §3.4: map obfuscated bundled libraries back to canonical names.
+        // Unless a library was renamed, the input APK is analysed in place.
         let (apk, deobfuscated_classes) = {
             let mut span = phases.phase(trace, "deobfuscation");
             let out = if self.options.deobfuscate_libraries {
@@ -165,7 +165,7 @@ impl Extractocol {
                 let n = map.classes.len();
                 (deobf::deobfuscate(apk, &map), n)
             } else {
-                (apk.clone(), 0)
+                (Cow::Borrowed(apk), 0)
             };
             span.attr("deobfuscated_classes", out.1);
             out
@@ -173,6 +173,9 @@ impl Extractocol {
 
         let mut span = phases.phase(trace, "indexing");
         let prog = ProgramIndex::new(&apk);
+        // Every phase below reads the model through this table: each
+        // distinct callee resolved once, looked up by reference.
+        let callees = CalleeTable::build(&self.model, &prog);
         // Targeted mode defers points-to until the cone is known; the
         // whole-program solve only runs here in untargeted mode.
         let mut pts = (self.options.pointsto && !self.options.targeted).then(|| {
@@ -194,7 +197,7 @@ impl Extractocol {
 
         // Phase 1: demarcation points.
         let mut span = phases.phase(trace, "demarcation");
-        let mut sites = demarcation::scan(&prog, &self.model);
+        let mut sites = demarcation::scan(&prog, &callees);
         if let Some(prefix) = &self.options.scope_prefix {
             sites.retain(|s| prog.class(s.method.class).name.starts_with(prefix.as_str()));
             for (i, s) in sites.iter_mut().enumerate() {
@@ -237,18 +240,17 @@ impl Extractocol {
                 &prog,
                 &graph,
                 pts.as_ref(),
-                &|callee| !matches!(self.model.op_for(&prog, callee), ApiOp::Unknown),
+                &|callee| !matches!(callees.op(callee), ApiOp::Unknown),
                 cone.as_ref(),
             )
         };
 
         // The taint engine is pipeline-owned so the persistent summary
         // cache can preload into it before slicing and export afterwards.
-        let flow_model = SemanticFlowModel::new(&self.model, &prog);
         let engine = TaintEngine::with_scope(
             &prog,
             &graph,
-            &flow_model,
+            &callees,
             TaintOptions {
                 max_field_depth: self.options.slice.max_field_depth,
                 ..TaintOptions::default()
@@ -336,7 +338,7 @@ impl Extractocol {
             let slice = &slices[t.dp_index];
             let sigs = SignatureBuilder::extract_scoped(
                 &prog,
-                &self.model,
+                &callees,
                 &graph,
                 slice,
                 &siblings,
@@ -382,7 +384,7 @@ impl Extractocol {
 
         // Phase 3b: inter-transaction dependencies.
         let mut span = phases.phase(trace, "dependencies");
-        let dependencies = interdep::dependencies(&prog, &self.model, &slices, &txns);
+        let dependencies = interdep::dependencies(&prog, &callees, &slices, &txns);
         span.attr("edges", dependencies.len());
         drop(span);
 

@@ -8,22 +8,32 @@
 //! org.apache.http, android.net.http, android.volley, java.net,
 //! android.media, retrofit, BeeFramework, and okhttp" (§4).
 //!
-//! The model serves four consumers:
+//! An analysis does not query the model once per call. Right after
+//! indexing the program it builds a [`CalleeTable`]: one scan of every
+//! call statement resolves each distinct callee (static class, name,
+//! arity) once, through the model's ancestor walk, into its op, its
+//! demarcation spec and its taint flows. Four consumers read that table
+//! by reference:
 //!
-//! * demarcation-point discovery ([`SemanticModel::demarcation`]);
+//! * demarcation-point discovery ([`crate::demarcation`]);
 //! * the taint engine's transfer for bodyless library calls
-//!   ([`crate::flowmodel`]);
+//!   ([`crate::flowmodel`]) and the model-gap lint;
 //! * the signature-building abstract interpreter ([`crate::sigbuild`]),
 //!   which matches on [`ApiOp`];
-//! * the dynamic IR interpreter in `extractocol-dynamic`, which gives the
-//!   same APIs their concrete semantics.
+//! * inter-transaction dependency analysis ([`crate::interdep`]), which
+//!   finds state cells and JSON keys by op.
+//!
+//! [`SemanticModel::op_for`] and [`SemanticModel::demarcation`] answer
+//! for one call at a time; the table is built from the same resolution.
 //!
 //! New APIs are added with [`SemanticModel::register`] /
 //! [`SemanticModel::register_dp`] — the "easy plugin for adding new API
 //! semantics" the paper describes.
 
+use extractocol_analysis::Slot;
 use extractocol_http::HttpMethod;
 use extractocol_ir::{MethodRef, ProgramIndex};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Where a demarcation point's request object lives in the call.
@@ -247,6 +257,85 @@ pub struct SemanticModel {
     dp_classes: std::collections::BTreeSet<String>,
 }
 
+fn pick_op(entries: &[&ApiOp]) -> ApiOp {
+    entries
+        .iter()
+        .find(|op| !matches!(op, ApiOp::Demarcation(_)))
+        .or_else(|| entries.first())
+        .map(|op| (*op).clone())
+        .unwrap_or(ApiOp::Unknown)
+}
+
+fn pick_dp(entries: &[&ApiOp]) -> Option<DpSpec> {
+    entries.iter().find_map(|op| match op {
+        ApiOp::Demarcation(spec) => Some(spec.clone()),
+        _ => None,
+    })
+}
+
+/// What the analysis reads about one callee.
+pub(crate) struct ResolvedCallee {
+    /// The op, as [`SemanticModel::op_for`] gives it.
+    op: ApiOp,
+    /// The demarcation spec, as [`SemanticModel::demarcation`] gives it.
+    dp: Option<DpSpec>,
+    /// The taint transfer of a bodyless call ([`crate::flowmodel`]).
+    pub(crate) flows: Vec<(Slot, Slot)>,
+}
+
+/// The semantic model resolved against one program: every distinct
+/// callee of its call statements, keyed by its static class, method name
+/// and arity — all that [`SemanticModel`]'s lookup reads — with the
+/// strings borrowed from the program. A lookup hashes the key once and
+/// returns a reference — no clone, no lock, no allocation — so the
+/// parallel workers share one table read-only.
+pub struct CalleeTable<'p> {
+    /// Callee key → its dense id, an index into `resolved`. The map holds
+    /// ids rather than the resolutions so that a lookup's result borrows
+    /// the table, not the (shorter-lived) key it was asked with.
+    ids: HashMap<(&'p str, &'p str, usize), usize>,
+    resolved: Vec<ResolvedCallee>,
+}
+
+impl<'p> CalleeTable<'p> {
+    /// Scans every call statement of `prog` and resolves each distinct
+    /// callee once.
+    pub fn build(model: &SemanticModel, prog: &ProgramIndex<'p>) -> CalleeTable<'p> {
+        let mut table = CalleeTable { ids: HashMap::new(), resolved: Vec::new() };
+        for mid in prog.methods() {
+            for stmt in &prog.method(mid).body {
+                let Some(call) = stmt.call() else { continue };
+                let c = &call.callee;
+                let key = (c.class.as_str(), c.name.as_str(), c.params.len());
+                if let Entry::Vacant(slot) = table.ids.entry(key) {
+                    slot.insert(table.resolved.len());
+                    table.resolved.push(model.resolve(prog, c));
+                }
+            }
+        }
+        table
+    }
+
+    /// The resolution of `callee`, or `None` for a callee that no call
+    /// statement of the program names — the table treats it as
+    /// unmodelled.
+    pub(crate) fn get(&self, callee: &MethodRef) -> Option<&ResolvedCallee> {
+        let key = (callee.class.as_str(), callee.name.as_str(), callee.params.len());
+        self.ids.get(&key).map(|&id| &self.resolved[id])
+    }
+
+    /// The op for a call ([`SemanticModel::op_for`]).
+    pub fn op(&self, callee: &MethodRef) -> &ApiOp {
+        self.get(callee).map_or(&ApiOp::Unknown, |r| &r.op)
+    }
+
+    /// The demarcation spec if this call is a DP
+    /// ([`SemanticModel::demarcation`]).
+    pub fn dp(&self, callee: &MethodRef) -> Option<&DpSpec> {
+        self.get(callee).and_then(|r| r.dp.as_ref())
+    }
+}
+
 impl SemanticModel {
     /// Builds the full default model.
     pub fn standard() -> SemanticModel {
@@ -351,21 +440,20 @@ impl SemanticModel {
     /// the same method (e.g. `newCall` both wraps the request and is a
     /// boundary; interpretation uses the wrap, discovery uses the DP).
     pub fn op_for(&self, prog: &ProgramIndex<'_>, callee: &MethodRef) -> ApiOp {
-        let entries = self.entries_for(prog, callee);
-        entries
-            .iter()
-            .find(|op| !matches!(op, ApiOp::Demarcation(_)))
-            .or_else(|| entries.first())
-            .map(|op| (*op).clone())
-            .unwrap_or(ApiOp::Unknown)
+        pick_op(&self.entries_for(prog, callee))
     }
 
     /// The demarcation spec if this call is a DP.
     pub fn demarcation(&self, prog: &ProgramIndex<'_>, callee: &MethodRef) -> Option<DpSpec> {
-        self.entries_for(prog, callee).into_iter().find_map(|op| match op {
-            ApiOp::Demarcation(spec) => Some(spec.clone()),
-            _ => None,
-        })
+        pick_dp(&self.entries_for(prog, callee))
+    }
+
+    /// Everything the analysis reads about a call, from one ancestor walk.
+    fn resolve(&self, prog: &ProgramIndex<'_>, callee: &MethodRef) -> ResolvedCallee {
+        let entries = self.entries_for(prog, callee);
+        let op = pick_op(&entries);
+        let flows = crate::flowmodel::op_flows(&op, callee);
+        ResolvedCallee { op, dp: pick_dp(&entries), flows }
     }
 
     // ---- installation of the standard model --------------------------------

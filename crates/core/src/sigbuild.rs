@@ -23,7 +23,7 @@
 //! asynchronous-event heuristic introduces.
 
 use crate::demarcation::DpSite;
-use crate::semantics::{ApiOp, DpRequestLoc, DpResponseLoc, JsonAccess, SemanticModel};
+use crate::semantics::{ApiOp, CalleeTable, DpRequestLoc, DpResponseLoc, JsonAccess};
 use crate::siglang::{JsonSig, SigPat, TypeHint, XmlSig};
 use crate::slicing::SliceSet;
 use extractocol_analysis::{CallGraph, Cfg};
@@ -249,7 +249,7 @@ impl AbsVal {
 /// Per-DP signature extraction.
 pub struct SignatureBuilder<'a> {
     prog: &'a ProgramIndex<'a>,
-    model: &'a SemanticModel,
+    callees: &'a CalleeTable<'a>,
     graph: &'a CallGraph,
     /// Global heap cells: `class#field` → value (two-round stabilized).
     heap: RefCell<HashMap<String, AbsVal>>,
@@ -284,7 +284,7 @@ impl<'a> SignatureBuilder<'a> {
     /// With no exclusions, all of the DP's roots are merged.
     pub fn extract_scoped(
         prog: &'a ProgramIndex<'a>,
-        model: &'a SemanticModel,
+        callees: &'a CalleeTable<'a>,
         graph: &'a CallGraph,
         slice: &'a SliceSet,
         excluded_entries: &[MethodId],
@@ -295,7 +295,7 @@ impl<'a> SignatureBuilder<'a> {
         slice_methods.insert(slice.dp.method);
         let b = SignatureBuilder {
             prog,
-            model,
+            callees,
             graph,
             heap: RefCell::new(HashMap::new()),
             resp_json: RefCell::new(JsonSig::Unknown),
@@ -759,8 +759,7 @@ impl<'a> SignatureBuilder<'a> {
             }
         };
 
-        let op = self.model.op_for(self.prog, &call.callee);
-        match op {
+        match self.callees.op(&call.callee) {
             // ---- strings ----
             ApiOp::SbNew => {
                 let init = arg_vals
@@ -838,7 +837,7 @@ impl<'a> SignatureBuilder<'a> {
             // ---- request objects ----
             ApiOp::ApacheRequestNew(m) => {
                 let r =
-                    RequestAbs { method: Some(m), uri: Some(arg_sig(0)), ..RequestAbs::default() };
+                    RequestAbs { method: Some(*m), uri: Some(arg_sig(0)), ..RequestAbs::default() };
                 set_recv(env, AbsVal::Request(Box::new(r)));
                 AbsVal::Unknown
             }
@@ -914,7 +913,7 @@ impl<'a> SignatureBuilder<'a> {
             }
             ApiOp::OkMethodBody(m) => {
                 let out = if let AbsVal::Request(mut r) = recv_val {
-                    r.method = Some(m);
+                    r.method = Some(*m);
                     if let Some(b) = arg_vals.first() {
                         r.body = Some(body_from(b.clone()));
                     }
@@ -1004,7 +1003,7 @@ impl<'a> SignatureBuilder<'a> {
                     }
                     _ => RequestAbs::default(),
                 };
-                r.method = Some(m);
+                r.method = Some(*m);
                 if let Some(b) = arg_vals.get(1) {
                     r.body = Some(body_from(b.clone()));
                 }
@@ -1078,7 +1077,7 @@ impl<'a> SignatureBuilder<'a> {
                     AbsVal::Response(mut path) => {
                         if let Some(AbsVal::Str(SigPat::Const(k))) = arg_vals.first() {
                             path.push(k.clone());
-                            self.record_json_read(&path, access);
+                            self.record_json_read(&path, *access);
                             AbsVal::Response(path)
                         } else {
                             AbsVal::Unknown
@@ -1560,6 +1559,7 @@ fn widen_env(
 mod tests {
     use super::*;
     use crate::demarcation;
+    use crate::semantics::SemanticModel;
     use crate::slicing::{slice_all, SliceOptions};
     use extractocol_analysis::CallbackRegistry;
     use extractocol_http::Regex;
@@ -1577,15 +1577,15 @@ mod tests {
 
     fn extract_all(apk: &Apk) -> Vec<DpSignatures> {
         let prog = ProgramIndex::new(apk);
-        let model = SemanticModel::standard();
+        let callees = CalleeTable::build(&SemanticModel::standard(), &prog);
         let graph = CallGraph::build(&prog, &CallbackRegistry::android_defaults());
-        let sites = demarcation::scan(&prog, &model);
-        let slices = slice_all(&prog, &graph, &model, &sites, &SliceOptions::default());
+        let sites = demarcation::scan(&prog, &callees);
+        let slices = slice_all(&prog, &graph, &callees, &sites, &SliceOptions::default());
         slices
             .iter()
             .map(|s| {
                 let has_response = !s.response_slice.is_empty();
-                SignatureBuilder::extract_scoped(&prog, &model, &graph, s, &[], has_response)
+                SignatureBuilder::extract_scoped(&prog, &callees, &graph, s, &[], has_response)
             })
             .collect()
     }

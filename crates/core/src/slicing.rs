@@ -17,8 +17,7 @@
 //!   limitation).
 
 use crate::demarcation::DpSite;
-use crate::flowmodel::SemanticFlowModel;
-use crate::semantics::{DpResponseLoc, SemanticModel};
+use crate::semantics::{CalleeTable, DpResponseLoc};
 use extractocol_analysis::{
     AccessPath, CallGraph, Direction, PointsTo, Seed, TaintEngine, TaintOptions, TaintReport,
 };
@@ -99,15 +98,14 @@ impl SliceStats {
 pub fn slice_all(
     prog: &ProgramIndex<'_>,
     graph: &CallGraph,
-    model: &SemanticModel,
+    callees: &CalleeTable<'_>,
     sites: &[DpSite],
     opts: &SliceOptions,
 ) -> Vec<SliceSet> {
-    let flow_model = SemanticFlowModel::new(model, prog);
     let engine = TaintEngine::new(
         prog,
         graph,
-        &flow_model,
+        callees,
         TaintOptions { max_field_depth: opts.max_field_depth, ..TaintOptions::default() },
     );
     slice_all_on(&engine, prog, graph, sites, opts, 1, None, &TraceCollector::disabled())
@@ -521,6 +519,7 @@ pub fn stats(prog: &ProgramIndex<'_>, slices: &[SliceSet]) -> SliceStats {
 mod tests {
     use super::*;
     use crate::demarcation;
+    use crate::semantics::SemanticModel;
     use extractocol_analysis::CallbackRegistry;
     use extractocol_ir::{ApkBuilder, Type};
 
@@ -536,10 +535,10 @@ mod tests {
 
     fn run(apk: &extractocol_ir::Apk, opts: &SliceOptions) -> Vec<(usize, usize)> {
         let prog = ProgramIndex::new(apk);
-        let model = SemanticModel::standard();
+        let callees = CalleeTable::build(&SemanticModel::standard(), &prog);
         let graph = CallGraph::build(&prog, &CallbackRegistry::android_defaults());
-        let sites = demarcation::scan(&prog, &model);
-        let slices = slice_all(&prog, &graph, &model, &sites, opts);
+        let sites = demarcation::scan(&prog, &callees);
+        let slices = slice_all(&prog, &graph, &callees, &sites, opts);
         slices.iter().map(|s| (s.request_slice.len(), s.response_slice.len())).collect()
     }
 
@@ -593,10 +592,10 @@ mod tests {
         assert!(resp >= 2, "response slice too small: {resp}");
         // the unrelated statement is excluded: slice smaller than the body
         let prog = ProgramIndex::new(&apk);
-        let model = SemanticModel::standard();
+        let callees = CalleeTable::build(&SemanticModel::standard(), &prog);
         let graph = CallGraph::build(&prog, &CallbackRegistry::android_defaults());
-        let sites = demarcation::scan(&prog, &model);
-        let slices = slice_all(&prog, &graph, &model, &sites, &SliceOptions::default());
+        let sites = demarcation::scan(&prog, &callees);
+        let slices = slice_all(&prog, &graph, &callees, &sites, &SliceOptions::default());
         let st = stats(&prog, &slices);
         assert!(st.sliced_stmts < st.total_stmts);
         assert!(st.fraction() > 0.0 && st.fraction() < 1.0);
@@ -649,11 +648,11 @@ mod tests {
             });
             let apk = b.build();
             let prog = ProgramIndex::new(&apk);
-            let model = SemanticModel::standard();
+            let callees = CalleeTable::build(&SemanticModel::standard(), &prog);
             let graph = CallGraph::build(&prog, &CallbackRegistry::android_defaults());
-            let sites = demarcation::scan(&prog, &model);
+            let sites = demarcation::scan(&prog, &callees);
             let opts = SliceOptions { async_heuristic: on, ..SliceOptions::default() };
-            let slices = slice_all(&prog, &graph, &model, &sites, &opts);
+            let slices = slice_all(&prog, &graph, &callees, &sites, &opts);
             let setter = prog.resolve_method("t.C", "onLocationChanged", 1).unwrap();
             slices[0].request_slice.iter().any(|(m, _)| *m == setter)
         };
@@ -691,15 +690,15 @@ mod tests {
         });
         let apk = b.build();
         let prog = ProgramIndex::new(&apk);
-        let model = SemanticModel::standard();
+        let callees = CalleeTable::build(&SemanticModel::standard(), &prog);
         let graph = CallGraph::build(&prog, &CallbackRegistry::android_defaults());
-        let sites = demarcation::scan(&prog, &model);
+        let sites = demarcation::scan(&prog, &callees);
 
-        let with = slice_all(&prog, &graph, &model, &sites, &SliceOptions::default());
+        let with = slice_all(&prog, &graph, &callees, &sites, &SliceOptions::default());
         let without = slice_all(
             &prog,
             &graph,
-            &model,
+            &callees,
             &sites,
             &SliceOptions { augmentation: false, ..SliceOptions::default() },
         );

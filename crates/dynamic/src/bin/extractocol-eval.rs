@@ -85,10 +85,6 @@ fn run() -> Result<(), CliError> {
             "--jobs" => jobs = args.parse()?,
             "--seed" => seed = args.parse()?,
             "--sites" => sites = args.parse()?,
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return Ok(());
-            }
             _ => return Err(CliError::Usage),
         }
     }

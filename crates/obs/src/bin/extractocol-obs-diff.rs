@@ -43,10 +43,6 @@ fn run() -> Result<bool, CliError> {
                 t if t.is_finite() && t >= 0.0 => cfg.per_run_threshold = t,
                 _ => return Err(CliError::Usage),
             },
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return Ok(false);
-            }
             other if !other.starts_with('-') => paths.push(other.to_string()),
             _ => return Err(CliError::Usage),
         }

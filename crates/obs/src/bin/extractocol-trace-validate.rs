@@ -7,7 +7,8 @@
 //!
 //! Exits zero when the trace is well-formed (complete events only,
 //! per-thread monotonic timestamps, proper nesting) and prints the trace
-//! statistics; exits non-zero with the first violation otherwise.
+//! statistics; exits 1 with the first violation otherwise. A flag or a
+//! second argument is a usage error (exit 2); `--help` prints the usage.
 
 use extractocol_obs::cli::{self, Args, CliError};
 use extractocol_obs::validate_chrome_trace;
@@ -22,7 +23,12 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), CliError> {
-    let path = Args::from_env().next().ok_or(CliError::Usage)?;
+    let mut args = Args::from_env();
+    // One positional argument; the tool takes no flags.
+    let path = match (args.next(), args.next()) {
+        (Some(path), None) if !path.starts_with('-') => path,
+        _ => return Err(CliError::Usage),
+    };
     let text = cli::read(&path)?;
     let stats = validate_chrome_trace(&text).map_err(|e| CliError::Fail(format!("{path}: {e}")))?;
     println!(

@@ -36,17 +36,18 @@ fn obs_diff_usage_contract() {
 #[test]
 fn trace_validate_usage_contract() {
     let bin = env!("CARGO_BIN_EXE_extractocol-trace-validate");
-    assert_exit(bin, &[], 2, "usage: extractocol-trace-validate <trace.json>\n");
-    // The tool takes no flags: its one argument is always the trace path.
-    for arg in ["--bogus", "--help"] {
-        assert_exit(
-            bin,
-            &[arg],
-            1,
-            &format!(
-                "extractocol-trace-validate: cannot read {arg}: \
-                 No such file or directory (os error 2)\n"
-            ),
-        );
-    }
+    let usage = "usage: extractocol-trace-validate <trace.json>\n";
+    assert_exit(bin, &[], 2, usage);
+    assert_exit(bin, &["--help"], 0, usage);
+    assert_exit(bin, &["-h"], 0, usage);
+    // The tool takes no flags and one trace path.
+    assert_exit(bin, &["--bogus"], 2, usage);
+    assert_exit(bin, &["a.json", "b.json"], 2, usage);
+    assert_exit(
+        bin,
+        &["/nonexistent/trace.json"],
+        1,
+        "extractocol-trace-validate: cannot read /nonexistent/trace.json: \
+         No such file or directory (os error 2)\n",
+    );
 }
