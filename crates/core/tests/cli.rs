@@ -228,6 +228,7 @@ fn cli_usage_contract() {
     assert_exit(&[], 2, USAGE);
     assert_exit(&["--help"], 0, USAGE);
     assert_exit(&["-h"], 0, USAGE);
+    assert_exit(&["--scope", "-h"], 0, USAGE);
     assert_exit(
         &["/nonexistent/app.jimple"],
         1,

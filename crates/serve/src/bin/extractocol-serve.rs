@@ -68,10 +68,6 @@ fn run() -> Result<(), CliError> {
         Some("send") => cmd_send(args),
         Some("scrape") => cmd_scrape(args),
         Some("attack") => cmd_attack(args),
-        Some("--help") | Some("-h") => {
-            eprintln!("{USAGE}");
-            Ok(())
-        }
         _ => Err(CliError::Usage),
     }
 }
