@@ -8,8 +8,9 @@
 
 use crate::callbacks::{CallbackRegistry, ImplicitEdge};
 use crate::pointsto::PointsTo;
-use extractocol_ir::{CallKind, MethodId, ProgramIndex, Value};
-use std::collections::{HashMap, HashSet};
+use extractocol_ir::hash::{IdMap, IdSet};
+use extractocol_ir::{CallKind, CalleeId, MethodId, ProgramIndex, Value};
+use std::collections::HashSet;
 
 /// A call site: `(containing method, statement index)`.
 pub type CallSite = (MethodId, usize);
@@ -18,19 +19,29 @@ pub type CallSite = (MethodId, usize);
 #[derive(Debug, Default)]
 pub struct CallGraph {
     /// Explicit targets (concrete methods only) per call site.
-    pub targets: HashMap<CallSite, Vec<MethodId>>,
+    pub targets: IdMap<CallSite, Vec<MethodId>>,
     /// Resolved-but-bodyless targets per call site: dispatch lands in a
     /// platform/library stub, so the edge is owed to an API model rather
     /// than the graph. Recorded (instead of silently dropped) so the
     /// diagnostics pass can count model-coverage gaps.
-    pub unresolved: HashMap<CallSite, Vec<MethodId>>,
+    pub unresolved: IdMap<CallSite, Vec<MethodId>>,
     /// Implicit callback edges per call site.
-    pub implicit: HashMap<CallSite, Vec<ImplicitEdge>>,
+    pub implicit: IdMap<CallSite, Vec<ImplicitEdge>>,
     /// Reverse edges: callee → explicit call sites invoking it.
-    pub callers: HashMap<MethodId, Vec<CallSite>>,
+    pub callers: IdMap<MethodId, Vec<CallSite>>,
     /// Virtual/interface sites whose targets came from the receiver's
     /// points-to set (only populated by [`CallGraph::build_with_pointsto`]).
-    pub devirtualized: HashSet<CallSite>,
+    pub devirtualized: IdSet<CallSite>,
+}
+
+/// What a callee resolves to wherever it is called, computed on its first
+/// call site: the CHA target list of a virtual call and the implicit
+/// callback edges.
+#[derive(Default)]
+struct CalleeTargets {
+    /// The static target, then every subtype's declaration, deduplicated.
+    cha: Option<Vec<MethodId>>,
+    implicit: Option<Vec<ImplicitEdge>>,
 }
 
 impl CallGraph {
@@ -50,7 +61,9 @@ impl CallGraph {
     /// virtual/interface site whose receiver has a non-empty points-to set
     /// resolves against the *allocated* classes only, shedding the CHA
     /// subtype cone. Sites with an empty set (receivers fed by modeled
-    /// APIs or unanalyzed contexts) fall back to CHA.
+    /// APIs or unanalyzed contexts) fall back to CHA. The per-class
+    /// dispatch answers are the solver's own ([`PointsTo::dispatch`]), so
+    /// the graph and the points-to sets agree by construction.
     pub fn build_with_pointsto(
         prog: &ProgramIndex<'_>,
         registry: &CallbackRegistry,
@@ -65,10 +78,14 @@ impl CallGraph {
         pts: Option<&PointsTo>,
     ) -> CallGraph {
         let mut g = CallGraph::default();
+        let mut per_callee: Vec<CalleeTargets> = Vec::new();
+        per_callee.resize_with(prog.callee_count(), CalleeTargets::default);
         for mid in prog.concrete_methods() {
             let body = &prog.method(mid).body;
             for (si, stmt) in body.iter().enumerate() {
                 let Some(call) = stmt.call() else { continue };
+                let callee = prog.callee_at(mid, si).expect("a call statement has a callee id");
+                let known = &mut per_callee[callee.0 as usize];
                 let site: CallSite = (mid, si);
                 let mut targets: Vec<MethodId> = Vec::new();
                 let mut stubs: Vec<MethodId> = Vec::new();
@@ -80,17 +97,13 @@ impl CallGraph {
                 };
                 match call.kind {
                     CallKind::Static | CallKind::Special => {
-                        if let Some(t) = prog.resolve_method(
-                            &call.callee.class,
-                            &call.callee.name,
-                            call.callee.params.len(),
-                        ) {
+                        if let Some(t) = prog.static_target(callee) {
                             push(t);
                         }
                     }
                     CallKind::Virtual | CallKind::Interface => {
                         let devirt = pts.and_then(|p| {
-                            devirtualize(prog, p, mid, call).filter(|v| !v.is_empty())
+                            devirtualize(prog, p, mid, call, callee).filter(|v| !v.is_empty())
                         });
                         if let Some(resolved) = devirt {
                             for t in resolved {
@@ -98,30 +111,19 @@ impl CallGraph {
                             }
                             g.devirtualized.insert(site);
                         } else {
-                            if let Some(t) = prog.resolve_method(
-                                &call.callee.class,
-                                &call.callee.name,
-                                call.callee.params.len(),
-                            ) {
+                            let cha = known.cha.get_or_insert_with(|| cha_targets(prog, callee));
+                            for &t in cha.iter() {
                                 push(t);
-                            }
-                            for sub in prog.all_subtypes(&call.callee.class) {
-                                if let Some(t) = prog.declared_method(
-                                    sub,
-                                    &call.callee.name,
-                                    call.callee.params.len(),
-                                ) {
-                                    push(t);
-                                }
                             }
                         }
                     }
                 }
-                let implicit = registry.implicit_edges(prog, call);
+                let implicit =
+                    known.implicit.get_or_insert_with(|| registry.implicit_edges(prog, call));
                 for t in &targets {
                     g.callers.entry(*t).or_default().push(site);
                 }
-                for e in &implicit {
+                for e in implicit.iter() {
                     g.callers.entry(e.target).or_default().push(site);
                 }
                 if !targets.is_empty() {
@@ -131,7 +133,7 @@ impl CallGraph {
                     g.unresolved.insert(site, stubs);
                 }
                 if !implicit.is_empty() {
-                    g.implicit.insert(site, implicit);
+                    g.implicit.insert(site, implicit.clone());
                 }
             }
         }
@@ -186,6 +188,21 @@ impl CallGraph {
     }
 }
 
+/// The CHA targets of a virtual call: the static target, then each
+/// subtype's own declaration, in [`ProgramIndex::all_subtypes`] order.
+fn cha_targets(prog: &ProgramIndex<'_>, callee: CalleeId) -> Vec<MethodId> {
+    let r = prog.callee(callee);
+    let mut out: Vec<MethodId> = prog.static_target(callee).into_iter().collect();
+    for sub in prog.all_subtypes(&r.class) {
+        if let Some(t) = prog.declared_method(sub, &r.name, r.params.len()) {
+            if !out.contains(&t) {
+                out.push(t);
+            }
+        }
+    }
+    out
+}
+
 /// Resolves a virtual/interface call against the receiver's points-to set:
 /// one dispatch per allocated class, in allocation order. Returns `None`
 /// when the receiver is not a local or its set is empty (CHA fallback).
@@ -194,21 +211,18 @@ fn devirtualize(
     pts: &PointsTo,
     mid: MethodId,
     call: &extractocol_ir::Call,
+    callee: CalleeId,
 ) -> Option<Vec<MethodId>> {
     let recv = call.receiver.as_ref().and_then(Value::as_local)?;
-    let classes = pts.classes_of(mid, recv);
-    if classes.is_empty() {
+    let set = pts.local_pts(mid, recv);
+    if set.is_empty() {
         return None;
     }
     let mut out = Vec::new();
-    for class in classes {
-        // The same type filter the points-to solver applies on dispatch:
-        // ill-typed allocations washed in by flow-insensitivity don't
-        // fabricate call edges.
-        if !prog.is_subtype(class, &call.callee.class) {
-            continue;
-        }
-        if let Some(t) = prog.resolve_method(class, &call.callee.name, call.callee.params.len()) {
+    for &a in set {
+        // Arrays and classes outside the program dispatch nowhere.
+        let Some(class) = pts.alloc_class(a) else { continue };
+        if let Some(t) = pts.dispatch(prog, class, callee) {
             if !out.contains(&t) {
                 out.push(t);
             }
@@ -301,7 +315,7 @@ mod tests {
         let apk = diamond_apk();
         let prog = ProgramIndex::new(&apk);
         let cha = CallGraph::build(&prog, &CallbackRegistry::empty());
-        let pts = crate::pointsto::PointsTo::solve(&prog);
+        let pts = PointsTo::solve(&crate::MethodTable::new(&prog));
         let pta = CallGraph::build_with_pointsto(&prog, &CallbackRegistry::empty(), &pts);
         let main = prog.resolve_method("t.Main", "go", 0).unwrap();
         let site = prog

@@ -22,9 +22,9 @@
 //! so lint listings obey the same byte-identical guarantee as reports.
 
 use crate::callgraph::CallGraph;
-use crate::cfg::Cfg;
+use crate::methods::MethodTable;
 use crate::pointsto::PointsTo;
-use extractocol_ir::{CallKind, MethodId, MethodRef, ProgramIndex, Value};
+use extractocol_ir::{CallKind, CalleeId, MethodId, MethodRef, Value};
 
 /// What kind of precision problem a lint reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -114,24 +114,27 @@ fn is_reflective(callee: &MethodRef) -> bool {
 /// the solved points-to result when the pipeline ran with
 /// devirtualization (enables the empty-points-to lint); `model_covers`
 /// reports whether the semantic API-flow model knows a given bodyless
-/// callee (the `stubs.rs` / `semantics.rs` coverage question, answered by
-/// the caller because the model lives a crate above this one).
+/// callee, by its program callee id (the `stubs.rs` / `semantics.rs`
+/// coverage question, answered by the caller because the model lives a
+/// crate above this one). The dead-block check reads each method's CFG
+/// from `methods`, building those not built yet.
 ///
 /// With `scope`, only methods in the set are visited (the targeted mode's
 /// cone — lints for never-analyzed code would be noise, and visiting it
 /// would defeat the point of targeting). `None` lints the whole program.
 pub fn lint_scoped(
-    prog: &ProgramIndex<'_>,
+    methods: &MethodTable<'_>,
     graph: &CallGraph,
     pts: Option<&PointsTo>,
-    model_covers: &dyn Fn(&MethodRef) -> bool,
+    model_covers: &dyn Fn(CalleeId) -> bool,
     scope: Option<&std::collections::HashSet<MethodId>>,
 ) -> LintReport {
+    let prog = methods.prog();
     let mut lints = Vec::new();
-    let mut methods: Vec<MethodId> =
+    let mut visited: Vec<MethodId> =
         prog.concrete_methods().filter(|mid| scope.is_none_or(|s| s.contains(mid))).collect();
-    methods.sort_unstable();
-    for mid in methods {
+    visited.sort_unstable();
+    for mid in visited {
         let method = prog.method(mid);
         let context = format!("{}.{}", prog.class(mid.class).name, method.name);
 
@@ -151,7 +154,8 @@ pub fn lint_scoped(
             let stubs = graph.unresolved_of(site);
             let implicit = graph.implicit_of(site);
             for t in stubs {
-                if !model_covers(&call.callee) {
+                let callee = prog.callee_at(mid, si).expect("a call statement has a callee id");
+                if !model_covers(callee) {
                     lints.push(Lint {
                         category: LintCategory::ModelGap,
                         context: context.clone(),
@@ -193,9 +197,13 @@ pub fn lint_scoped(
         }
 
         // Dead blocks: anything the CFG's reverse post-order never visits.
-        let cfg = Cfg::build(method);
+        let cfg = methods.cfg(mid);
+        let mut reached = vec![false; cfg.blocks.len()];
+        for &bi in &cfg.rpo {
+            reached[bi] = true;
+        }
         for (bi, block) in cfg.blocks.iter().enumerate() {
-            if bi != 0 && !cfg.rpo.contains(&bi) {
+            if bi != 0 && !reached[bi] {
                 lints.push(Lint {
                     category: LintCategory::DeadBlock,
                     context: context.clone(),
@@ -220,16 +228,17 @@ pub fn lint_scoped(
 mod tests {
     use super::*;
     use crate::callbacks::CallbackRegistry;
-    use extractocol_ir::{ApkBuilder, Type};
+    use extractocol_ir::{ApkBuilder, ProgramIndex, Type};
 
     fn lint_all(apk: &extractocol_ir::Apk, with_pts: bool) -> LintReport {
         let prog = ProgramIndex::new(apk);
-        let pts = with_pts.then(|| PointsTo::solve(&prog));
+        let methods = MethodTable::new(&prog);
+        let pts = with_pts.then(|| PointsTo::solve(&methods));
         let graph = match &pts {
             Some(p) => CallGraph::build_with_pointsto(&prog, &CallbackRegistry::empty(), p),
             None => CallGraph::build(&prog, &CallbackRegistry::empty()),
         };
-        lint_scoped(&prog, &graph, pts.as_ref(), &|_| false, None)
+        lint_scoped(&methods, &graph, pts.as_ref(), &|_| false, None)
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //!   libraries (`AsyncTask`, Volley, retrofit, `Thread`/`Runnable`,
 //!   `Handler`, `Timer`, rx-style subscriptions, UI/location listeners),
 //!   the issue EDGEMINER \[33\] studies and §3.4 addresses;
+//! * [`methods`] — the per-method facts (CFG, entry/exit locals) every
+//!   analysis of a run shares, each built once on first use;
 //! * [`pointsto`] — Andersen-style, field-sensitive points-to analysis
 //!   with allocation-site abstraction and on-the-fly call resolution (the
 //!   SPARK \[60\] layer), feeding call-graph devirtualization and alias
@@ -46,6 +48,7 @@ pub mod callbacks;
 pub mod callgraph;
 pub mod cfg;
 pub mod diagnostics;
+pub mod methods;
 pub mod pointsto;
 pub mod taint;
 
@@ -53,6 +56,7 @@ pub use callbacks::{CallbackRegistry, ImplicitEdge, OperandSource};
 pub use callgraph::{CallGraph, CallSite};
 pub use cfg::Cfg;
 pub use diagnostics::{Lint, LintCategory, LintReport};
+pub use methods::{MethodInfo, MethodTable};
 pub use pointsto::{AllocId, AllocSite, PointsTo, PtsStats};
 pub use taint::{
     AccessPath, ApiFlowModel, CacheStats, ConservativeModel, Direction, Root, Seed, Slot,

@@ -11,16 +11,28 @@
 //! devirtualized call graph are mutually consistent — exactly SPARK's
 //! on-the-fly call-graph mode.
 //!
-//! Determinism: the solver is a worklist over dense integer node ids
-//! assigned in program order; points-to sets are `BTreeSet`s and every
-//! exported map is keyed by ordered ids. Two runs over the same program
-//! produce identical results regardless of thread count or hash seeds,
+//! Everything the solver touches is addressed by dense ids, not names. A
+//! local's node sits at a per-method offset (one `u32` per declared
+//! local, filled on first use); field and static names are interned once
+//! per solve; each call site carries its [`CalleeId`]. On-the-fly
+//! dispatch is memoized per (allocated class, callee), and the solved
+//! [`PointsTo`] keeps those results so that
+//! [`crate::CallGraph::build_with_pointsto`] reads the same answers
+//! instead of resolving each virtual site again. Entry/exit locals come
+//! from the run's shared [`MethodTable`].
+//!
+//! Determinism: the solver is a FIFO worklist over `(node, allocation)`
+//! pairs generated in program order, and a points-to set is a sorted
+//! vector of [`AllocId`]s. Nothing is ordered by a hash, so two runs over
+//! the same program produce identical results regardless of thread count,
 //! preserving the byte-identical-report guarantee.
 
+use crate::methods::{scope_flags, MethodTable};
+use extractocol_ir::hash::{IdMap, IdSet};
 use extractocol_ir::{
-    CallKind, Expr, IdentityKind, Local, MethodId, Place, ProgramIndex, Stmt, Value,
+    CallKind, CalleeId, ClassId, Expr, Local, MethodId, Place, ProgramIndex, Stmt, Value,
 };
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// An abstract object: one allocation site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -41,14 +53,79 @@ pub struct AllocSite {
 /// index-insensitivity, as in SPARK).
 pub const ARRAY_FIELD: &str = "[]";
 
+/// Marks a local with no constraint-graph node.
+const NO_NODE: u32 = u32::MAX;
+
+/// Where each method's locals sit: one node id (or [`NO_NODE`]) per
+/// declared local, at a dense per-method offset. Locals beyond the
+/// declared count (malformed input) fall back to a map.
+#[derive(Debug, Default)]
+struct LocalNodes {
+    /// Per class: the dense index of its first method.
+    class_base: Vec<u32>,
+    /// Per dense method index: the offset of its first local (one extra
+    /// entry holds the total).
+    local_base: Vec<u32>,
+    nodes: Vec<u32>,
+    overflow: HashMap<(MethodId, Local), u32>,
+}
+
+impl LocalNodes {
+    fn new(prog: &ProgramIndex<'_>) -> LocalNodes {
+        let mut class_base = Vec::new();
+        let mut local_base = Vec::with_capacity(prog.method_count() + 1);
+        let mut total = 0u32;
+        for (_, c) in prog.classes() {
+            class_base.push(local_base.len() as u32);
+            for m in &c.methods {
+                local_base.push(total);
+                total += m.locals.len() as u32;
+            }
+        }
+        local_base.push(total);
+        LocalNodes {
+            class_base,
+            local_base,
+            nodes: vec![NO_NODE; total as usize],
+            overflow: HashMap::new(),
+        }
+    }
+
+    /// The slot of `(m, l)` in `nodes`, if `l` is a declared local.
+    fn slot(&self, m: MethodId, l: Local) -> Option<usize> {
+        let mi = (self.class_base[m.class.0 as usize] + m.method) as usize;
+        let (base, end) = (self.local_base[mi], self.local_base[mi + 1]);
+        (l.0 < end - base).then_some((base + l.0) as usize)
+    }
+
+    fn get(&self, m: MethodId, l: Local) -> Option<usize> {
+        let id = match self.slot(m, l) {
+            Some(i) => self.nodes[i],
+            None => self.overflow.get(&(m, l)).copied().unwrap_or(NO_NODE),
+        };
+        (id != NO_NODE).then_some(id as usize)
+    }
+
+    /// Every local's node id.
+    fn all(&self) -> impl Iterator<Item = usize> + '_ {
+        let overflow = self.overflow.values();
+        self.nodes.iter().chain(overflow).filter(|&&n| n != NO_NODE).map(|&n| n as usize)
+    }
+}
+
 /// Solved points-to results.
 #[derive(Debug, Default)]
 pub struct PointsTo {
     allocs: Vec<AllocSite>,
-    locals: HashMap<(MethodId, Local), BTreeSet<AllocId>>,
-    fields: HashMap<(AllocId, String), BTreeSet<AllocId>>,
-    statics: HashMap<String, BTreeSet<AllocId>>,
-    propagations: usize,
+    /// Per allocation: the program's class of that name, if any.
+    alloc_classes: Vec<Option<ClassId>>,
+    locals: LocalNodes,
+    /// Per constraint-graph node: its points-to set, sorted.
+    pts: Vec<Vec<AllocId>>,
+    /// On-the-fly dispatch results per (allocated class, callee): the
+    /// target when the class inhabits the callee's declared class.
+    dispatch: IdMap<(ClassId, CalleeId), Option<MethodId>>,
+    stats: PtsStats,
 }
 
 /// Aggregate solver statistics for reports and ablations.
@@ -67,8 +144,8 @@ pub struct PtsStats {
 
 impl PointsTo {
     /// Solves the whole-program constraint system.
-    pub fn solve(prog: &ProgramIndex<'_>) -> PointsTo {
-        Solver::new(prog, None).solve()
+    pub fn solve(methods: &MethodTable<'_>) -> PointsTo {
+        Solver::new(methods, None).solve()
     }
 
     /// Solves the constraint system restricted to `scope` (the targeted
@@ -78,11 +155,8 @@ impl PointsTo {
     /// directions, static fields, instance-field cells — the scoped
     /// solution equals the whole-program solution restricted to the
     /// scope's locals, which is what keeps targeted reports byte-identical.
-    pub fn solve_scoped(
-        prog: &ProgramIndex<'_>,
-        scope: &std::collections::HashSet<MethodId>,
-    ) -> PointsTo {
-        Solver::new(prog, Some(scope)).solve()
+    pub fn solve_scoped(methods: &MethodTable<'_>, scope: &HashSet<MethodId>) -> PointsTo {
+        Solver::new(methods, Some(scope)).solve()
     }
 
     /// The allocation site behind an id.
@@ -95,35 +169,44 @@ impl PointsTo {
         &self.allocs
     }
 
-    /// The points-to set of a local (empty when nothing reaches it).
-    pub fn local_pts(&self, m: MethodId, l: Local) -> &BTreeSet<AllocId> {
-        static EMPTY: BTreeSet<AllocId> = BTreeSet::new();
-        self.locals.get(&(m, l)).unwrap_or(&EMPTY)
+    /// The program's class an allocation instantiates (`None` for arrays
+    /// and classes outside the program).
+    pub fn alloc_class(&self, id: AllocId) -> Option<ClassId> {
+        self.alloc_classes[id.0 as usize]
     }
 
-    /// The points-to set of an instance-field cell.
-    pub fn field_pts(&self, a: AllocId, field: &str) -> &BTreeSet<AllocId> {
-        static EMPTY: BTreeSet<AllocId> = BTreeSet::new();
-        self.fields.get(&(a, field.to_string())).unwrap_or(&EMPTY)
-    }
-
-    /// The points-to set of a static field (`class#name` key).
-    pub fn static_pts(&self, key: &str) -> &BTreeSet<AllocId> {
-        static EMPTY: BTreeSet<AllocId> = BTreeSet::new();
-        self.statics.get(key).unwrap_or(&EMPTY)
+    /// The points-to set of a local, sorted (empty when nothing reaches
+    /// it).
+    pub fn local_pts(&self, m: MethodId, l: Local) -> &[AllocId] {
+        self.locals.get(m, l).map_or(&[], |n| &self.pts[n])
     }
 
     /// The distinct classes a local may point to, in [`AllocId`] order.
     pub fn classes_of(&self, m: MethodId, l: Local) -> Vec<&str> {
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
+        let mut out: Vec<&str> = Vec::new();
         for &a in self.local_pts(m, l) {
             let c = self.alloc(a).class.as_str();
-            if seen.insert(c) {
+            if !out.contains(&c) {
                 out.push(c);
             }
         }
         out
+    }
+
+    /// The target an object of `class` dispatches to at a virtual call of
+    /// `callee`: `None` when the class does not inhabit the callee's
+    /// declared class or resolves no method. Answered from the solver's
+    /// dispatch results; a pair the solver never met is resolved here.
+    pub fn dispatch(
+        &self,
+        prog: &ProgramIndex<'_>,
+        class: ClassId,
+        callee: CalleeId,
+    ) -> Option<MethodId> {
+        match self.dispatch.get(&(class, callee)) {
+            Some(&t) => t,
+            None => resolve_dispatch(prog, class, callee),
+        }
     }
 
     /// May-alias query between two locals. Conservative: a local with an
@@ -135,148 +218,156 @@ impl PointsTo {
         if pa.is_empty() || pb.is_empty() {
             return true;
         }
-        pa.intersection(pb).next().is_some()
+        let (mut i, mut j) = (0, 0);
+        while i < pa.len() && j < pb.len() {
+            match pa[i].cmp(&pb[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => return true,
+            }
+        }
+        false
     }
 
     /// Solver statistics.
     pub fn stats(&self) -> PtsStats {
-        PtsStats {
-            allocs: self.allocs.len(),
-            nonempty_locals: self.locals.values().filter(|s| !s.is_empty()).count(),
-            field_cells: self.fields.values().filter(|s| !s.is_empty()).count(),
-            propagations: self.propagations,
-        }
+        self.stats
     }
 }
 
-/// A constraint-graph node.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum NodeKey {
-    /// A method-local pointer variable.
-    Local(MethodId, Local),
-    /// A static field (`class#name`).
-    Static(String),
-    /// The result of a statement whose value does not land in a plain
-    /// local (e.g. `o.f = call()` or a `new` stored straight to a field).
-    Site(MethodId, usize),
-    /// One instance-field cell of one abstract object.
-    Field(AllocId, String),
+/// Dispatch of an object of `class` at a virtual call of `callee`. The
+/// type filter ignores objects that cannot inhabit the declared receiver
+/// type (flow-insensitive imprecision can wash unrelated allocations into
+/// a set; an ill-typed dispatch would fabricate edges a real VM could
+/// never take).
+fn resolve_dispatch(prog: &ProgramIndex<'_>, class: ClassId, callee: CalleeId) -> Option<MethodId> {
+    let r = prog.callee(callee);
+    if !prog.class_is_subtype(class, &r.class) {
+        return None;
+    }
+    prog.resolve_in(class, &r.name, r.params.len())
 }
 
 #[derive(Default)]
 struct Node {
-    pts: BTreeSet<AllocId>,
     /// Subset edges: everything here is a superset of this node.
     succ: Vec<usize>,
     /// Pending field loads `x = n.f`: `(field, destination node)`.
-    loads: Vec<(String, usize)>,
+    loads: Vec<(u32, usize)>,
     /// Pending field stores `n.f = x`: `(field, source node)`.
-    stores: Vec<(String, usize)>,
+    stores: Vec<(u32, usize)>,
     /// On-the-fly virtual sites dispatching on this node.
     sites: Vec<usize>,
 }
 
 /// A virtual/interface call site awaiting on-the-fly resolution.
 struct FlySite {
-    /// Declared (static) receiver class — dispatch filter.
-    static_class: String,
-    callee_name: String,
-    arity: usize,
+    callee: CalleeId,
     /// Argument operand nodes (those that are pointer-typed locals).
     args: Vec<(usize, usize)>,
     /// Node receiving the return value, if the result is used.
     result: Option<usize>,
 }
 
-/// Per-method entry/exit info for call binding.
-struct MInfo {
-    this_local: Option<Local>,
-    param_locals: Vec<Option<Local>>,
-    ret_locals: Vec<Local>,
-}
-
-struct Solver<'a> {
-    prog: &'a ProgramIndex<'a>,
-    /// Analysis scope (`None` = whole program). Methods outside the scope
-    /// contribute no constraints — they are invisible to the solver.
-    scope: Option<&'a std::collections::HashSet<MethodId>>,
-    minfo: HashMap<MethodId, MInfo>,
-    ids: HashMap<NodeKey, usize>,
+struct Solver<'a, 'p> {
+    prog: &'p ProgramIndex<'p>,
+    methods: &'a MethodTable<'p>,
+    /// Per dense method index: inside the analysis scope (`None` = whole
+    /// program). Methods outside the scope contribute no constraints —
+    /// they are invisible to the solver.
+    in_scope: Option<Vec<bool>>,
+    locals: LocalNodes,
+    /// Interned field names (`[]` is 0).
+    field_ids: HashMap<&'p str, u32>,
+    /// Instance-field cells per (object, field).
+    cells: IdMap<(AllocId, u32), usize>,
+    /// Static-field nodes per (class, field).
+    statics: HashMap<(&'p str, &'p str), usize>,
     nodes: Vec<Node>,
+    pts: Vec<Vec<AllocId>>,
     allocs: Vec<AllocSite>,
+    alloc_classes: Vec<Option<ClassId>>,
     fly: Vec<FlySite>,
+    dispatch: IdMap<(ClassId, CalleeId), Option<MethodId>>,
     /// `(fly-site, target)` pairs already bound.
-    bound: HashSet<(usize, MethodId)>,
+    bound: IdSet<(usize, MethodId)>,
     /// `(node, alloc)` pairs still to be propagated.
     worklist: VecDeque<(usize, AllocId)>,
 }
 
-impl<'a> Solver<'a> {
-    fn new(
-        prog: &'a ProgramIndex<'a>,
-        scope: Option<&'a std::collections::HashSet<MethodId>>,
-    ) -> Solver<'a> {
-        let mut minfo = HashMap::new();
-        for mid in prog.concrete_methods() {
-            if let Some(scope) = scope {
-                if !scope.contains(&mid) {
-                    continue;
-                }
-            }
-            let method = prog.method(mid);
-            let mut this_local = None;
-            let mut param_locals = vec![None; method.params.len()];
-            let mut ret_locals = Vec::new();
-            for s in &method.body {
-                match s {
-                    Stmt::Identity { local, kind } => match kind {
-                        IdentityKind::This => this_local = Some(*local),
-                        IdentityKind::Param(p) => {
-                            if let Some(slot) = param_locals.get_mut(*p as usize) {
-                                *slot = Some(*local);
-                            }
-                        }
-                        IdentityKind::CaughtException => {}
-                    },
-                    Stmt::Return(Some(Value::Local(l))) => ret_locals.push(*l),
-                    _ => {}
-                }
-            }
-            minfo.insert(mid, MInfo { this_local, param_locals, ret_locals });
-        }
+impl<'a, 'p> Solver<'a, 'p> {
+    fn new(methods: &'a MethodTable<'p>, scope: Option<&HashSet<MethodId>>) -> Solver<'a, 'p> {
+        let prog = methods.prog();
         Solver {
             prog,
-            scope,
-            minfo,
-            ids: HashMap::new(),
+            methods,
+            in_scope: scope_flags(prog, scope),
+            locals: LocalNodes::new(prog),
+            field_ids: HashMap::from([(ARRAY_FIELD, 0)]),
+            cells: IdMap::default(),
+            statics: HashMap::new(),
             nodes: Vec::new(),
+            pts: Vec::new(),
             allocs: Vec::new(),
+            alloc_classes: Vec::new(),
             fly: Vec::new(),
-            bound: HashSet::new(),
+            dispatch: IdMap::default(),
+            bound: IdSet::default(),
             worklist: VecDeque::new(),
         }
     }
 
-    fn node(&mut self, key: NodeKey) -> usize {
-        if let Some(&id) = self.ids.get(&key) {
-            return id;
-        }
-        let id = self.nodes.len();
-        self.ids.insert(key, id);
+    fn in_scope(&self, m: MethodId) -> bool {
+        self.in_scope.as_ref().is_none_or(|f| f[self.prog.method_index(m)])
+    }
+
+    fn new_node(&mut self) -> usize {
         self.nodes.push(Node::default());
-        id
+        self.pts.push(Vec::new());
+        self.nodes.len() - 1
     }
 
     fn local_node(&mut self, m: MethodId, l: Local) -> usize {
-        self.node(NodeKey::Local(m, l))
+        if let Some(n) = self.locals.get(m, l) {
+            return n;
+        }
+        let n = self.new_node();
+        match self.locals.slot(m, l) {
+            Some(i) => self.locals.nodes[i] = n as u32,
+            None => {
+                self.locals.overflow.insert((m, l), n as u32);
+            }
+        }
+        n
     }
 
-    fn static_key(class: &str, name: &str) -> String {
-        format!("{class}#{name}")
+    fn static_node(&mut self, class: &'p str, name: &'p str) -> usize {
+        if let Some(&n) = self.statics.get(&(class, name)) {
+            return n;
+        }
+        let n = self.new_node();
+        self.statics.insert((class, name), n);
+        n
+    }
+
+    fn field_id(&mut self, name: &'p str) -> u32 {
+        let next = self.field_ids.len() as u32;
+        *self.field_ids.entry(name).or_insert(next)
+    }
+
+    fn cell(&mut self, a: AllocId, field: u32) -> usize {
+        if let Some(&n) = self.cells.get(&(a, field)) {
+            return n;
+        }
+        let n = self.new_node();
+        self.cells.insert((a, field), n);
+        n
     }
 
     fn add_alloc(&mut self, node: usize, a: AllocId) {
-        if self.nodes[node].pts.insert(a) {
+        let set = &mut self.pts[node];
+        if let Err(pos) = set.binary_search(&a) {
+            set.insert(pos, a);
             self.worklist.push_back((node, a));
         }
     }
@@ -286,7 +377,9 @@ impl<'a> Solver<'a> {
             return;
         }
         self.nodes[from].succ.push(to);
-        for a in self.nodes[from].pts.clone() {
+        // `to != from`, so the source set is stable while it is copied.
+        for i in 0..self.pts[from].len() {
+            let a = self.pts[from][i];
             self.add_alloc(to, a);
         }
     }
@@ -296,34 +389,32 @@ impl<'a> Solver<'a> {
     /// so surviving allocation sites keep their relative [`AllocId`] order
     /// and `classes_of` answers agree with the whole-program solve.
     fn generate(&mut self) {
-        let methods: Vec<MethodId> = self
-            .prog
-            .concrete_methods()
-            .filter(|mid| self.scope.is_none_or(|s| s.contains(mid)))
-            .collect();
-        for mid in methods {
-            let body = &self.prog.method(mid).body;
-            for (si, stmt) in body.iter().enumerate() {
+        let prog = self.prog;
+        for mid in prog.concrete_methods() {
+            if !self.in_scope(mid) {
+                continue;
+            }
+            for (si, stmt) in prog.method(mid).body.iter().enumerate() {
                 match stmt {
                     Stmt::Assign { place, expr } => self.assign(mid, si, place, expr),
-                    Stmt::Invoke(call) => self.call(mid, call, None),
+                    Stmt::Invoke(call) => self.call(mid, si, call, None),
                     _ => {}
                 }
             }
         }
     }
 
-    fn assign(&mut self, m: MethodId, si: usize, place: &Place, expr: &Expr) {
+    fn assign(&mut self, m: MethodId, si: usize, place: &'p Place, expr: &'p Expr) {
         let src: Option<usize> = match expr {
             Expr::New(class) => Some(self.alloc_node(m, si, class.clone())),
             Expr::NewArray(elem, _) => Some(self.alloc_node(m, si, format!("{elem}[]"))),
             Expr::Use(Value::Local(l)) | Expr::Cast(_, Value::Local(l)) => {
                 Some(self.local_node(m, *l))
             }
-            Expr::Load(loaded) => self.load_node(m, si, loaded),
+            Expr::Load(loaded) => self.load_node(m, loaded),
             Expr::Invoke(call) => {
-                let result = self.place_sink(m, si, place);
-                self.call(m, call, result);
+                let result = self.place_sink(m, place);
+                self.call(m, si, call, result);
                 return;
             }
             _ => None,
@@ -336,30 +427,31 @@ impl<'a> Solver<'a> {
     /// A fresh node holding exactly one new abstract object.
     fn alloc_node(&mut self, m: MethodId, si: usize, class: String) -> usize {
         let id = AllocId(self.allocs.len() as u32);
+        self.alloc_classes.push(self.prog.class_id(&class));
         self.allocs.push(AllocSite { method: m, stmt: si, class });
-        let n = self.node(NodeKey::Site(m, si));
+        let n = self.new_node();
         self.add_alloc(n, id);
         n
     }
 
     /// The node a load reads from (introducing a deferred constraint for
-    /// instance/array cells).
-    fn load_node(&mut self, m: MethodId, si: usize, loaded: &Place) -> Option<usize> {
+    /// instance/array cells). A statement's own value node is fresh: each
+    /// statement is visited once.
+    fn load_node(&mut self, m: MethodId, loaded: &'p Place) -> Option<usize> {
         match loaded {
             Place::Local(l) => Some(self.local_node(m, *l)),
-            Place::StaticField(f) => {
-                Some(self.node(NodeKey::Static(Self::static_key(&f.class, &f.name))))
-            }
+            Place::StaticField(f) => Some(self.static_node(&f.class, &f.name)),
             Place::InstanceField { base, field } => {
-                let dst = self.node(NodeKey::Site(m, si));
+                let dst = self.new_node();
                 let b = self.local_node(m, *base);
-                self.add_load(b, field.name.clone(), dst);
+                let f = self.field_id(&field.name);
+                self.add_load(b, f, dst);
                 Some(dst)
             }
             Place::ArrayElem { base, .. } => {
-                let dst = self.node(NodeKey::Site(m, si));
+                let dst = self.new_node();
                 let b = self.local_node(m, *base);
-                self.add_load(b, ARRAY_FIELD.to_string(), dst);
+                self.add_load(b, 0, dst);
                 Some(dst)
             }
         }
@@ -368,55 +460,59 @@ impl<'a> Solver<'a> {
     /// The node a statement's produced value should land in, given its
     /// destination place. Plain locals write directly; field/array/static
     /// destinations go through a per-site node then a store constraint.
-    fn place_sink(&mut self, m: MethodId, si: usize, place: &Place) -> Option<usize> {
+    fn place_sink(&mut self, m: MethodId, place: &'p Place) -> Option<usize> {
         match place {
             Place::Local(l) => Some(self.local_node(m, *l)),
             _ => {
-                let site = self.node(NodeKey::Site(m, si));
+                let site = self.new_node();
                 self.flow_into_place(m, site, place);
                 Some(site)
             }
         }
     }
 
-    fn flow_into_place(&mut self, m: MethodId, src: usize, place: &Place) {
+    fn flow_into_place(&mut self, m: MethodId, src: usize, place: &'p Place) {
         match place {
             Place::Local(l) => {
                 let dst = self.local_node(m, *l);
                 self.add_edge(src, dst);
             }
             Place::StaticField(f) => {
-                let dst = self.node(NodeKey::Static(Self::static_key(&f.class, &f.name)));
+                let dst = self.static_node(&f.class, &f.name);
                 self.add_edge(src, dst);
             }
             Place::InstanceField { base, field } => {
                 let b = self.local_node(m, *base);
-                self.add_store(b, field.name.clone(), src);
+                let f = self.field_id(&field.name);
+                self.add_store(b, f, src);
             }
             Place::ArrayElem { base, .. } => {
                 let b = self.local_node(m, *base);
-                self.add_store(b, ARRAY_FIELD.to_string(), src);
+                self.add_store(b, 0, src);
             }
         }
     }
 
-    fn add_load(&mut self, base: usize, field: String, dst: usize) {
-        for a in self.nodes[base].pts.clone() {
-            let fnode = self.node(NodeKey::Field(a, field.clone()));
+    // In both deferred constraints the base is a local and the cell is
+    // not, so the base's set is stable while it is walked.
+    fn add_load(&mut self, base: usize, field: u32, dst: usize) {
+        for i in 0..self.pts[base].len() {
+            let fnode = self.cell(self.pts[base][i], field);
             self.add_edge(fnode, dst);
         }
         self.nodes[base].loads.push((field, dst));
     }
 
-    fn add_store(&mut self, base: usize, field: String, src: usize) {
-        for a in self.nodes[base].pts.clone() {
-            let fnode = self.node(NodeKey::Field(a, field.clone()));
+    fn add_store(&mut self, base: usize, field: u32, src: usize) {
+        for i in 0..self.pts[base].len() {
+            let fnode = self.cell(self.pts[base][i], field);
             self.add_edge(src, fnode);
         }
         self.nodes[base].stores.push((field, src));
     }
 
-    fn call(&mut self, m: MethodId, call: &extractocol_ir::Call, result: Option<usize>) {
+    fn call(&mut self, m: MethodId, si: usize, call: &extractocol_ir::Call, result: Option<usize>) {
+        let callee = self.prog.callee_at(m, si).expect("a call statement has a callee id");
         let args: Vec<(usize, usize)> = call
             .args
             .iter()
@@ -426,20 +522,15 @@ impl<'a> Solver<'a> {
             .collect();
         match call.kind {
             CallKind::Static | CallKind::Special => {
-                let target = self.prog.resolve_method(
-                    &call.callee.class,
-                    &call.callee.name,
-                    call.callee.params.len(),
-                );
-                let Some(t) = target else { return };
-                if !self.prog.method(t).has_body || !self.minfo.contains_key(&t) {
+                let Some(t) = self.prog.static_target(callee) else { return };
+                if !self.prog.method(t).has_body || !self.in_scope(t) {
                     // Bodyless, or outside the analysis scope: treated like
                     // a platform stub (no constraints generated into it).
                     return;
                 }
                 if let Some(recv) = call.receiver.as_ref().and_then(Value::as_local) {
                     let rn = self.local_node(m, recv);
-                    if let Some(this) = self.minfo[&t].this_local {
+                    if let Some(this) = self.methods.info(t).this_local {
                         let tn = self.local_node(t, this);
                         self.add_edge(rn, tn);
                     }
@@ -452,14 +543,11 @@ impl<'a> Solver<'a> {
                 };
                 let rn = self.local_node(m, recv);
                 let idx = self.fly.len();
-                self.fly.push(FlySite {
-                    static_class: call.callee.class.clone(),
-                    callee_name: call.callee.name.clone(),
-                    arity: call.callee.params.len(),
-                    args,
-                    result,
-                });
-                for a in self.nodes[rn].pts.clone() {
+                self.fly.push(FlySite { callee, args, result });
+                // Binding can grow the receiver's own set (recursion);
+                // objects added meanwhile reach this site from the
+                // worklist, so walk a snapshot.
+                for a in self.pts[rn].clone() {
                     self.dispatch(idx, a);
                 }
                 self.nodes[rn].sites.push(idx);
@@ -473,110 +561,102 @@ impl<'a> Solver<'a> {
         args: &[(usize, usize)],
         result: Option<usize>,
     ) {
-        let (params, rets) = {
-            let info = &self.minfo[&t];
-            (info.param_locals.clone(), info.ret_locals.clone())
-        };
+        let info = self.methods.info(t);
         for &(i, an) in args {
-            if let Some(Some(pl)) = params.get(i) {
+            if let Some(Some(pl)) = info.param_locals.get(i) {
                 let pn = self.local_node(t, *pl);
                 self.add_edge(an, pn);
             }
         }
         if let Some(rnode) = result {
-            for rl in rets {
-                let sn = self.local_node(t, rl);
-                self.add_edge(sn, rnode);
+            let body = &self.prog.method(t).body;
+            for &ri in &info.returns {
+                if let Stmt::Return(Some(Value::Local(rl))) = &body[ri] {
+                    let sn = self.local_node(t, *rl);
+                    self.add_edge(sn, rnode);
+                }
             }
         }
     }
 
     /// On-the-fly dispatch: one abstract object reached one virtual site.
     fn dispatch(&mut self, site: usize, a: AllocId) {
-        let class = self.allocs[a.0 as usize].class.clone();
-        let (static_class, name, arity) = {
-            let s = &self.fly[site];
-            (s.static_class.clone(), s.callee_name.clone(), s.arity)
-        };
-        // Dispatch filter: ignore objects that cannot inhabit the declared
-        // receiver type (flow-insensitive imprecision can wash unrelated
-        // allocations into a set; an ill-typed dispatch would fabricate
-        // edges a real VM could never take). Classes absent from the
-        // hierarchy (platform types) pass the filter only for calls
-        // declared directly on them.
-        let typed = self.prog.is_subtype(&class, &static_class);
-        if !typed {
+        // Classes absent from the hierarchy (platform types, arrays)
+        // resolve no method.
+        let Some(class) = self.alloc_classes[a.0 as usize] else { return };
+        let callee = self.fly[site].callee;
+        let prog = self.prog;
+        let target = *self
+            .dispatch
+            .entry((class, callee))
+            .or_insert_with(|| resolve_dispatch(prog, class, callee));
+        let Some(t) = target else { return };
+        if !prog.method(t).has_body || !self.in_scope(t) || !self.bound.insert((site, t)) {
             return;
         }
-        let Some(t) = self.prog.resolve_method(&class, &name, arity) else { return };
-        if !self.prog.method(t).has_body
-            || !self.minfo.contains_key(&t)
-            || !self.bound.insert((site, t))
-        {
-            return;
-        }
-        let (args, result) = {
-            let s = &self.fly[site];
-            (s.args.clone(), s.result)
-        };
         // Receiver binding is per-object: only `a` flows into the callee's
         // `this`, not the whole receiver set — the precision on-the-fly
         // resolution exists to provide.
-        if let Some(this) = self.minfo[&t].this_local {
+        if let Some(this) = self.methods.info(t).this_local {
             let tn = self.local_node(t, this);
             self.add_alloc(tn, a);
         }
-        self.bind_args_and_return(t, &args, result);
+        // Binding only adds edges and allocations; it never reaches back
+        // into `fly`, so the site's arguments can be lent out meanwhile.
+        let args = std::mem::take(&mut self.fly[site].args);
+        self.bind_args_and_return(t, &args, self.fly[site].result);
+        self.fly[site].args = args;
     }
 
     fn solve(mut self) -> PointsTo {
         self.generate();
         let mut propagations = 0usize;
+        // Each list only grows while it is walked, and a walk covers the
+        // entries present when it starts — the snapshot a copy would take.
         while let Some((n, a)) = self.worklist.pop_front() {
             propagations += 1;
-            for s in self.nodes[n].succ.clone() {
+            for i in 0..self.nodes[n].succ.len() {
+                let s = self.nodes[n].succ[i];
                 self.add_alloc(s, a);
             }
-            for (field, dst) in self.nodes[n].loads.clone() {
-                let fnode = self.node(NodeKey::Field(a, field));
+            for i in 0..self.nodes[n].loads.len() {
+                let (field, dst) = self.nodes[n].loads[i];
+                let fnode = self.cell(a, field);
                 self.add_edge(fnode, dst);
             }
-            for (field, src) in self.nodes[n].stores.clone() {
-                let fnode = self.node(NodeKey::Field(a, field));
+            for i in 0..self.nodes[n].stores.len() {
+                let (field, src) = self.nodes[n].stores[i];
+                let fnode = self.cell(a, field);
                 self.add_edge(src, fnode);
             }
-            for site in self.nodes[n].sites.clone() {
+            for i in 0..self.nodes[n].sites.len() {
+                let site = self.nodes[n].sites[i];
                 self.dispatch(site, a);
             }
         }
 
-        let mut out = PointsTo { allocs: self.allocs, propagations, ..PointsTo::default() };
-        for (key, &id) in &self.ids {
-            let pts = &self.nodes[id].pts;
-            if pts.is_empty() {
-                continue;
-            }
-            match key {
-                NodeKey::Local(m, l) => {
-                    out.locals.insert((*m, *l), pts.clone());
-                }
-                NodeKey::Static(k) => {
-                    out.statics.insert(k.clone(), pts.clone());
-                }
-                NodeKey::Field(a, f) => {
-                    out.fields.insert((*a, f.clone()), pts.clone());
-                }
-                NodeKey::Site(..) => {}
-            }
+        let nonempty = |n: usize| !self.pts[n].is_empty();
+        let stats = PtsStats {
+            allocs: self.allocs.len(),
+            nonempty_locals: self.locals.all().filter(|&n| nonempty(n)).count(),
+            field_cells: self.cells.values().filter(|&&n| nonempty(n)).count(),
+            propagations,
+        };
+        PointsTo {
+            allocs: self.allocs,
+            alloc_classes: self.alloc_classes,
+            locals: self.locals,
+            pts: self.pts,
+            dispatch: self.dispatch,
+            stats,
         }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use extractocol_ir::{ApkBuilder, Type};
+    use extractocol_ir::{ApkBuilder, IdentityKind, Type};
 
     fn classes(pts: &PointsTo, prog: &ProgramIndex<'_>, class: &str, method: &str) -> Vec<String> {
         let mid = prog.resolve_method(class, method, 0).unwrap();
@@ -607,7 +687,7 @@ mod tests {
         });
         let apk = b.build();
         let prog = ProgramIndex::new(&apk);
-        let pts = PointsTo::solve(&prog);
+        let pts = PointsTo::solve(&MethodTable::new(&prog));
         assert_eq!(classes(&pts, &prog, "t.A", "go"), vec!["t.A"]);
         assert_eq!(pts.stats().allocs, 1);
     }
@@ -636,7 +716,7 @@ mod tests {
         });
         let apk = b.build();
         let prog = ProgramIndex::new(&apk);
-        let pts = PointsTo::solve(&prog);
+        let pts = PointsTo::solve(&MethodTable::new(&prog));
         // b1.v only holds P — the two boxes are distinct abstract objects.
         assert_eq!(classes(&pts, &prog, "t.M", "go"), vec!["t.P"]);
     }
@@ -662,7 +742,7 @@ mod tests {
         });
         let apk = b.build();
         let prog = ProgramIndex::new(&apk);
-        let pts = PointsTo::solve(&prog);
+        let pts = PointsTo::solve(&MethodTable::new(&prog));
         let id = prog.resolve_method("t.A", "id", 1).unwrap();
         // receiver bound
         let this = prog
@@ -713,7 +793,7 @@ mod tests {
         });
         let apk = b.build();
         let prog = ProgramIndex::new(&apk);
-        let pts = PointsTo::solve(&prog);
+        let pts = PointsTo::solve(&MethodTable::new(&prog));
         // Only t.A::make is dispatched: the call result points to t.A,
         // never t.B, and t.B::make's receiver is never bound.
         assert_eq!(classes(&pts, &prog, "t.M", "go"), vec!["t.A"]);
@@ -753,9 +833,10 @@ mod tests {
         });
         let apk = b.build();
         let prog = ProgramIndex::new(&apk);
-        let pts = PointsTo::solve(&prog);
+        let pts = PointsTo::solve(&MethodTable::new(&prog));
         assert_eq!(classes(&pts, &prog, "t.M", "go"), vec!["t.M"]);
-        assert!(!pts.static_pts("t.G#cache").is_empty());
+        // One field cell: the array's `[]`; the static is not a cell.
+        assert_eq!(pts.stats().field_cells, 1);
     }
 
     #[test]
@@ -773,8 +854,9 @@ mod tests {
         }
         let apk = b.build();
         let prog = ProgramIndex::new(&apk);
-        let a = PointsTo::solve(&prog);
-        let b2 = PointsTo::solve(&prog);
+        let methods = MethodTable::new(&prog);
+        let a = PointsTo::solve(&methods);
+        let b2 = PointsTo::solve(&methods);
         assert_eq!(format!("{:?}", a.stats()), format!("{:?}", b2.stats()));
         assert_eq!(a.allocs(), b2.allocs());
     }

@@ -25,11 +25,9 @@
 
 use crate::callbacks::OperandSource;
 use crate::callgraph::{CallGraph, CallSite};
-use crate::cfg::Cfg;
-use crate::pointsto::PointsTo;
+use crate::methods::{scope_flags, MethodInfo, MethodTable};
 use extractocol_ir::{
-    Call, CallKind, Expr, IdentityKind, Local, MethodId, MethodRef, Place, ProgramIndex, Stmt,
-    Value,
+    Call, CalleeId, Expr, IdentityKind, Local, MethodId, Place, ProgramIndex, Stmt, Value,
 };
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -101,9 +99,10 @@ pub enum Slot {
 /// and library stubs). `extractocol-core` implements this over its API
 /// semantic model; [`ConservativeModel`] is the default fallback.
 pub trait ApiFlowModel {
-    /// Directed taint flows `(from, to)` induced by a call to `callee`.
-    /// A model that resolves its callees ahead of time lends them out.
-    fn flows(&self, callee: &MethodRef) -> Cow<'_, [(Slot, Slot)]>;
+    /// Directed taint flows `(from, to)` induced by a call to `callee`
+    /// (an id of `prog`). A model that resolves its callees ahead of time
+    /// lends them out.
+    fn flows(&self, prog: &ProgramIndex<'_>, callee: CalleeId) -> Cow<'_, [(Slot, Slot)]>;
 }
 
 /// Fallback model: taint on any input reaches the return value and the
@@ -111,15 +110,22 @@ pub trait ApiFlowModel {
 /// which protocol-building code does not contain.
 pub struct ConservativeModel;
 
-impl ApiFlowModel for ConservativeModel {
-    fn flows(&self, callee: &MethodRef) -> Cow<'_, [(Slot, Slot)]> {
+impl ConservativeModel {
+    /// The flows of a call with `arity` arguments.
+    pub fn flows_of_arity(arity: usize) -> Vec<(Slot, Slot)> {
         let mut flows = Vec::new();
-        for i in 0..callee.params.len() {
+        for i in 0..arity {
             flows.push((Slot::Arg(i), Slot::Return));
             flows.push((Slot::Arg(i), Slot::Receiver));
         }
         flows.push((Slot::Receiver, Slot::Return));
-        Cow::Owned(flows)
+        flows
+    }
+}
+
+impl ApiFlowModel for ConservativeModel {
+    fn flows(&self, prog: &ProgramIndex<'_>, callee: CalleeId) -> Cow<'_, [(Slot, Slot)]> {
+        Cow::Owned(Self::flows_of_arity(prog.callee(callee).params.len()))
     }
 }
 
@@ -206,17 +212,6 @@ impl TaintReport {
     }
 }
 
-/// Per-method info the engine precomputes.
-struct MethodInfo {
-    cfg: Cfg,
-    /// Local bound by `@this`, if any.
-    this_local: Option<Local>,
-    /// Locals bound by `@paramN`, indexed by N.
-    param_locals: Vec<Option<Local>>,
-    /// Statement indices of `Return` statements.
-    returns: Vec<usize>,
-}
-
 /// One propagation node: a fact holding at a program point.
 type Node = (MethodId, usize, AccessPath);
 
@@ -275,12 +270,12 @@ pub struct TaintEngine<'p, 'g, 'm> {
     prog: &'p ProgramIndex<'p>,
     graph: &'g CallGraph,
     model: &'m (dyn ApiFlowModel + Sync),
-    /// Optional alias information: narrows virtual-call transfer to the
-    /// targets the receiver's points-to set allows, so taint only enters
-    /// callees that allocation sites can actually reach.
-    pts: Option<&'g PointsTo>,
     options: TaintOptions,
-    infos: HashMap<MethodId, MethodInfo>,
+    /// The run's shared per-method facts (CFGs, entry/exit locals).
+    methods: &'g MethodTable<'p>,
+    /// Per dense method index: inside the analysis scope (`None` = whole
+    /// program).
+    scope: Option<Vec<bool>>,
     /// static key → (method, stmt) sites that store to it.
     static_stores: HashMap<String, Vec<(MethodId, usize)>>,
     /// static key → (method, stmt) sites that load from it.
@@ -292,88 +287,67 @@ pub struct TaintEngine<'p, 'g, 'm> {
 }
 
 impl<'p, 'g, 'm> TaintEngine<'p, 'g, 'm> {
-    /// Prepares the engine: builds CFGs and static-field indexes.
+    /// Prepares the engine over the run's method table: indexes static
+    /// fields; CFGs are built on first visit.
     pub fn new(
-        prog: &'p ProgramIndex<'p>,
+        methods: &'g MethodTable<'p>,
         graph: &'g CallGraph,
         model: &'m (dyn ApiFlowModel + Sync),
         options: TaintOptions,
     ) -> Self {
-        Self::with_scope(prog, graph, model, options, None, None)
+        Self::with_scope(methods, graph, model, options, None)
     }
 
-    /// Like [`TaintEngine::new`], with optional alias information and an
-    /// optional analysis scope.
+    /// Like [`TaintEngine::new`], with an optional analysis scope.
     ///
-    /// With `pts` (a solved points-to analysis), virtual/interface call
-    /// transfer consults the receiver's points-to set and skips CHA
-    /// targets no reaching allocation site can dispatch to; empty sets
-    /// keep every target (conservative fallback). Results are
-    /// deterministic either way.
+    /// Call transfer steps into exactly the graph's explicit targets
+    /// ([`CallGraph::targets_of`]). A graph built with points-to
+    /// ([`CallGraph::build_with_pointsto`]) has already narrowed each
+    /// virtual site to the implementations its receiver's allocation
+    /// sites dispatch to.
     ///
-    /// When `scope` is `Some`, only methods in the set get CFGs and
-    /// static-field index entries — methods outside the scope are never
-    /// visited (the targeted mode's cone). `None` is whole-program.
+    /// When `scope` is `Some`, only methods in the set get static-field
+    /// index entries and may be visited — methods outside the scope are
+    /// never analysed (the targeted mode's cone). `None` is whole-program.
     pub fn with_scope(
-        prog: &'p ProgramIndex<'p>,
+        methods: &'g MethodTable<'p>,
         graph: &'g CallGraph,
         model: &'m (dyn ApiFlowModel + Sync),
         options: TaintOptions,
-        pts: Option<&'g PointsTo>,
         scope: Option<&HashSet<MethodId>>,
     ) -> Self {
-        let mut infos = HashMap::new();
+        let prog = methods.prog();
+        let scope = scope_flags(prog, scope);
         let mut static_stores: HashMap<String, Vec<(MethodId, usize)>> = HashMap::new();
         let mut static_loads: HashMap<String, Vec<(MethodId, usize)>> = HashMap::new();
         for mid in prog.concrete_methods() {
-            if let Some(scope) = scope {
-                if !scope.contains(&mid) {
-                    continue;
-                }
+            if scope.as_ref().is_some_and(|f| !f[prog.method_index(mid)]) {
+                continue;
             }
-            let method = prog.method(mid);
-            let cfg = Cfg::build(method);
-            let mut this_local = None;
-            let mut param_locals = vec![None; method.params.len()];
-            let mut returns = Vec::new();
-            for (i, s) in method.body.iter().enumerate() {
-                match s {
-                    Stmt::Identity { local, kind } => match kind {
-                        IdentityKind::This => this_local = Some(*local),
-                        IdentityKind::Param(p) => {
-                            if let Some(slot) = param_locals.get_mut(*p as usize) {
-                                *slot = Some(*local);
-                            }
-                        }
-                        IdentityKind::CaughtException => {}
-                    },
-                    Stmt::Return(_) => returns.push(i),
-                    Stmt::Assign { place, expr } => {
-                        if let Place::StaticField(f) = place {
-                            static_stores
-                                .entry(format!("{}#{}", f.class, f.name))
-                                .or_default()
-                                .push((mid, i));
-                        }
-                        if let Expr::Load(Place::StaticField(f)) = expr {
-                            static_loads
-                                .entry(format!("{}#{}", f.class, f.name))
-                                .or_default()
-                                .push((mid, i));
-                        }
+            for (i, s) in prog.method(mid).body.iter().enumerate() {
+                if let Stmt::Assign { place, expr } = s {
+                    if let Place::StaticField(f) = place {
+                        static_stores
+                            .entry(format!("{}#{}", f.class, f.name))
+                            .or_default()
+                            .push((mid, i));
                     }
-                    _ => {}
+                    if let Expr::Load(Place::StaticField(f)) = expr {
+                        static_loads
+                            .entry(format!("{}#{}", f.class, f.name))
+                            .or_default()
+                            .push((mid, i));
+                    }
                 }
             }
-            infos.insert(mid, MethodInfo { cfg, this_local, param_locals, returns });
         }
         TaintEngine {
             prog,
             graph,
             model,
-            pts,
             options,
-            infos,
+            methods,
+            scope,
             static_stores,
             static_loads,
             summaries: RwLock::new(HashMap::new()),
@@ -450,92 +424,57 @@ impl<'p, 'g, 'm> TaintEngine<'p, 'g, 'm> {
         }
     }
 
-    /// Explicit targets of a call site, narrowed by the receiver's
-    /// points-to set when alias information is available. A fact entering
-    /// a virtual call only steps into implementations some allocation
-    /// site flowing to the receiver can dispatch to; with no alias info,
-    /// an empty set, or a non-virtual site, the graph's targets stand.
-    fn call_targets(&self, site: CallSite, call: &Call) -> Vec<MethodId> {
-        let targets = self.graph.targets_of(site);
-        let Some(pts) = self.pts else { return targets.to_vec() };
-        if !matches!(call.kind, CallKind::Virtual | CallKind::Interface) {
-            return targets.to_vec();
-        }
-        let Some(recv) = call.receiver.as_ref().and_then(Value::as_local) else {
-            return targets.to_vec();
-        };
-        let classes = pts.classes_of(site.0, recv);
-        if classes.is_empty() {
-            return targets.to_vec();
-        }
-        let mut allowed: Vec<MethodId> = Vec::new();
-        for class in classes {
-            if !self.prog.is_subtype(class, &call.callee.class) {
-                continue;
-            }
-            if let Some(t) =
-                self.prog.resolve_method(class, &call.callee.name, call.callee.params.len())
-            {
-                if !allowed.contains(&t) {
-                    allowed.push(t);
-                }
-            }
-        }
-        if allowed.is_empty() {
-            // Every reaching object was ill-typed for this site — keep the
-            // CHA answer rather than inventing an unsound "no callees".
-            return targets.to_vec();
-        }
-        targets.iter().copied().filter(|t| allowed.contains(t)).collect()
-    }
-
-    /// True when `callee` survives alias narrowing at `site`.
-    fn calls_into(&self, site: CallSite, call: &Call, callee: MethodId) -> bool {
-        self.call_targets(site, call).contains(&callee)
-    }
-
-    /// Public view of the per-site alias narrowing — the exact target list
-    /// propagation steps into at `site`. The incremental engine folds this
-    /// into validity fingerprints so a summary is invalidated whenever the
-    /// narrowed dispatch at any of its call sites changes.
-    pub fn narrowed_targets(&self, site: CallSite, call: &Call) -> Vec<MethodId> {
-        self.call_targets(site, call)
-    }
-
     /// True when `m` is inside this engine's analysis scope (always true
     /// for whole-program engines).
     pub fn in_scope(&self, m: MethodId) -> bool {
-        self.infos.contains_key(&m) || !self.prog.method(m).has_body
+        !self.prog.method(m).has_body
+            || self.scope.as_ref().is_none_or(|f| f[self.prog.method_index(m)])
+    }
+
+    /// Panics unless `m` is a concrete method inside the scope: reaching
+    /// any other method means the scope missed a coupling.
+    fn check_analysed(&self, m: MethodId) {
+        assert!(
+            self.prog.method(m).has_body && self.in_scope(m),
+            "no method info for {}",
+            self.prog.method_display(m)
+        );
     }
 
     fn info(&self, m: MethodId) -> &MethodInfo {
-        self.infos
-            .get(&m)
-            .unwrap_or_else(|| panic!("no method info for {}", self.prog.method_display(m)))
+        self.check_analysed(m);
+        self.methods.info(m)
+    }
+
+    /// The flows of the call at `site` under the API model.
+    fn flows(&self, site: CallSite) -> Cow<'m, [(Slot, Slot)]> {
+        let callee = self.prog.callee_at(site.0, site.1).expect("a call statement has a callee id");
+        self.model.flows(self.prog, callee)
     }
 
     /// Statement-level successors in the given direction.
     fn neighbors(&self, m: MethodId, stmt: usize, dir: Direction) -> Vec<usize> {
-        let info = self.info(m);
+        self.check_analysed(m);
         let body_len = self.prog.method(m).body.len();
         if body_len == 0 {
             return Vec::new();
         }
-        let bi = info.cfg.block_of_stmt[stmt];
-        let block = &info.cfg.blocks[bi];
+        let cfg = self.methods.cfg(m);
+        let bi = cfg.block_of_stmt[stmt];
+        let block = &cfg.blocks[bi];
         match dir {
             Direction::Forward => {
                 if stmt + 1 < block.end {
                     vec![stmt + 1]
                 } else {
-                    block.succs.iter().map(|&s| info.cfg.blocks[s].start).collect()
+                    block.succs.iter().map(|&s| cfg.blocks[s].start).collect()
                 }
             }
             Direction::Backward => {
                 if stmt > block.start {
                     vec![stmt - 1]
                 } else {
-                    block.preds.iter().map(|&p| info.cfg.blocks[p].end - 1).collect()
+                    block.preds.iter().map(|&p| cfg.blocks[p].end - 1).collect()
                 }
             }
         }
@@ -979,10 +918,10 @@ impl<'e, 'p, 'g, 'm> Propagation<'e, 'p, 'g, 'm> {
         let site: CallSite = (m, stmt_idx);
         let succs = self.eng.neighbors(m, stmt_idx, Direction::Forward);
 
-        // 1. Explicit concrete targets (alias-narrowed): map into callee
-        //    entry.
-        let targets = self.eng.call_targets(site, call);
-        for &t in &targets {
+        // 1. Explicit concrete targets (devirtualized by the graph): map
+        //    into callee entry.
+        let targets = self.eng.graph.targets_of(site);
+        for &t in targets {
             let info = self.eng.info(t);
             // receiver
             if let Some(rv) = &call.receiver {
@@ -1050,7 +989,7 @@ impl<'e, 'p, 'g, 'm> Propagation<'e, 'p, 'g, 'm> {
             }
             if !in_slots.is_empty() {
                 touched = true;
-                for (from, to) in self.eng.model.flows(&call.callee).iter().copied() {
+                for (from, to) in self.eng.flows(site).iter().copied() {
                     if !in_slots.contains(&from) {
                         continue;
                     }
@@ -1088,8 +1027,8 @@ impl<'e, 'p, 'g, 'm> Propagation<'e, 'p, 'g, 'm> {
             let body = &self.eng.prog.method(cm).body;
             let stmt = &body[cs];
             // Explicit call with an assigned result.
-            if let Stmt::Assign { place, expr: Expr::Invoke(call) } = stmt {
-                if self.eng.calls_into((cm, cs), call, callee) {
+            if let Stmt::Assign { place, expr: Expr::Invoke(_) } = stmt {
+                if self.eng.graph.targets_of((cm, cs)).contains(&callee) {
                     if let Some(nf) = self.fact_for_place(place, &fact.fields) {
                         self.mark(cm, cs);
                         if let Root::Static(k) = &nf.root {
@@ -1273,9 +1212,9 @@ impl<'e, 'p, 'g, 'm> Propagation<'e, 'p, 'g, 'm> {
         _fact: &AccessPath,
     ) {
         let site: CallSite = (m, stmt_idx);
-        let targets = self.eng.call_targets(site, call);
+        let targets = self.eng.graph.targets_of(site);
         let mut modeled = targets.is_empty();
-        for &t in &targets {
+        for &t in targets {
             let info = self.eng.info(t);
             let body = &self.eng.prog.method(t).body;
             for &ri in &info.returns {
@@ -1295,7 +1234,7 @@ impl<'e, 'p, 'g, 'm> Propagation<'e, 'p, 'g, 'm> {
         }
         if modeled {
             // Reverse the API model: result tainted ⇒ inputs tainted.
-            for (from, to) in self.eng.model.flows(&call.callee).iter().copied() {
+            for (from, to) in self.eng.flows(site).iter().copied() {
                 if to != Slot::Return {
                     continue;
                 }
@@ -1334,8 +1273,8 @@ impl<'e, 'p, 'g, 'm> Propagation<'e, 'p, 'g, 'm> {
                 call.args.iter().position(|v| self.value_matches(v, fact)).map(OperandSource::Arg)
             };
         let Some(op) = op_of_fact else { return false };
-        let targets = self.eng.call_targets(site, call);
-        for &t in &targets {
+        let targets = self.eng.graph.targets_of(site);
+        for &t in targets {
             let info = self.eng.info(t);
             let entry_local = match op {
                 OperandSource::Receiver => info.this_local,
@@ -1357,7 +1296,7 @@ impl<'e, 'p, 'g, 'm> Propagation<'e, 'p, 'g, 'm> {
             // Modelled call: receiver/arg mutated from other inputs — e.g.
             // `sb.append(x)` backward: tainted sb ⇒ taint x.
             let mut any = false;
-            for (from, to) in self.eng.model.flows(&call.callee).iter().copied() {
+            for (from, to) in self.eng.flows(site).iter().copied() {
                 let to_matches = match to {
                     Slot::Receiver => op == OperandSource::Receiver,
                     Slot::Arg(i) => op == OperandSource::Arg(i),
@@ -1397,7 +1336,7 @@ impl<'e, 'p, 'g, 'm> Propagation<'e, 'p, 'g, 'm> {
             // Figure out the operand for this binding, both for explicit
             // calls and implicit callback edges.
             let mut operand: Option<&Value> = None;
-            if self.eng.calls_into((cm, cs), call, m) {
+            if self.eng.graph.targets_of((cm, cs)).contains(&m) {
                 operand = match kind {
                     IdentityKind::This => call.receiver.as_ref(),
                     IdentityKind::Param(i) => call.args.get(i as usize),
@@ -1449,8 +1388,10 @@ mod tests {
         seed_builder: impl FnOnce(&ProgramIndex<'_>, MethodId) -> Seed,
     ) -> (TaintReport, Vec<String>) {
         let prog = ProgramIndex::new(apk);
+        let methods = MethodTable::new(&prog);
         let graph = CallGraph::build(&prog, &CallbackRegistry::android_defaults());
-        let engine = TaintEngine::new(&prog, &graph, &ConservativeModel, TaintOptions::default());
+        let engine =
+            TaintEngine::new(&methods, &graph, &ConservativeModel, TaintOptions::default());
         let mid = prog.resolve_method(seed_method.0, seed_method.1, seed_method.2).unwrap();
         let seed = seed_builder(&prog, mid);
         let report = engine.run(dir, &[seed]);
@@ -1555,8 +1496,10 @@ mod tests {
         });
         let apk = b.build();
         let prog = ProgramIndex::new(&apk);
+        let methods = MethodTable::new(&prog);
         let graph = CallGraph::build(&prog, &CallbackRegistry::empty());
-        let engine = TaintEngine::new(&prog, &graph, &ConservativeModel, TaintOptions::default());
+        let engine =
+            TaintEngine::new(&methods, &graph, &ConservativeModel, TaintOptions::default());
         let mid = prog.resolve_method("t.C", "go", 0).unwrap();
         // seed: backward from the send() call on its argument local
         let (send_idx, u_local) = prog
@@ -1605,8 +1548,10 @@ mod tests {
         });
         let apk = b.build();
         let prog = ProgramIndex::new(&apk);
+        let methods = MethodTable::new(&prog);
         let graph = CallGraph::build(&prog, &CallbackRegistry::empty());
-        let engine = TaintEngine::new(&prog, &graph, &ConservativeModel, TaintOptions::default());
+        let engine =
+            TaintEngine::new(&methods, &graph, &ConservativeModel, TaintOptions::default());
         let main = prog.resolve_method("t.C", "main", 0).unwrap();
         let (send_idx, u_local) = prog
             .method(main)
@@ -1781,10 +1726,11 @@ mod tests {
         });
         let apk = b.build();
         let prog = ProgramIndex::new(&apk);
+        let methods = MethodTable::new(&prog);
         let graph = CallGraph::build(&prog, &CallbackRegistry::empty());
         // depth 1: n1.inner.leaf truncates to n1.inner — still found.
         let engine = TaintEngine::new(
-            &prog,
+            &methods,
             &graph,
             &ConservativeModel,
             TaintOptions { max_field_depth: 1, ..TaintOptions::default() },
@@ -1863,10 +1809,12 @@ mod tests {
     fn summary_cache_hits_on_shared_helpers_without_changing_results() {
         let apk = shared_helper_apk();
         let prog = ProgramIndex::new(&apk);
+        let methods = MethodTable::new(&prog);
         let graph = CallGraph::build(&prog, &CallbackRegistry::empty());
-        let cached = TaintEngine::new(&prog, &graph, &ConservativeModel, TaintOptions::default());
+        let cached =
+            TaintEngine::new(&methods, &graph, &ConservativeModel, TaintOptions::default());
         let plain = TaintEngine::new(
-            &prog,
+            &methods,
             &graph,
             &ConservativeModel,
             TaintOptions { summary_cache: false, ..TaintOptions::default() },
@@ -1891,8 +1839,10 @@ mod tests {
     fn summary_cache_repeat_run_is_all_hits() {
         let apk = shared_helper_apk();
         let prog = ProgramIndex::new(&apk);
+        let methods = MethodTable::new(&prog);
         let graph = CallGraph::build(&prog, &CallbackRegistry::empty());
-        let engine = TaintEngine::new(&prog, &graph, &ConservativeModel, TaintOptions::default());
+        let engine =
+            TaintEngine::new(&methods, &graph, &ConservativeModel, TaintOptions::default());
         let seed = entry_seed(&prog, "a");
         let first = engine.run(Direction::Forward, std::slice::from_ref(&seed));
         let after_first = engine.cache_stats();
@@ -1909,8 +1859,10 @@ mod tests {
     fn summary_cache_is_shareable_across_threads() {
         let apk = shared_helper_apk();
         let prog = ProgramIndex::new(&apk);
+        let methods = MethodTable::new(&prog);
         let graph = CallGraph::build(&prog, &CallbackRegistry::empty());
-        let engine = TaintEngine::new(&prog, &graph, &ConservativeModel, TaintOptions::default());
+        let engine =
+            TaintEngine::new(&methods, &graph, &ConservativeModel, TaintOptions::default());
         let baseline = sorted_slice(&engine.run(Direction::Forward, &[entry_seed(&prog, "a")]));
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)

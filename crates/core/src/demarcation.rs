@@ -42,13 +42,15 @@ impl DpSite {
 /// the one whose request operand carries the protocol content — is kept
 /// and the inner one dropped, so one network interaction yields one
 /// transaction.
-pub fn scan(prog: &ProgramIndex<'_>, callees: &CalleeTable<'_>) -> Vec<DpSite> {
+pub fn scan(prog: &ProgramIndex<'_>, callees: &CalleeTable) -> Vec<DpSite> {
     let mut sites = Vec::new();
     for mid in prog.concrete_methods() {
         let body = &prog.method(mid).body;
         for (si, stmt) in body.iter().enumerate() {
-            let Some(call) = stmt.call() else { continue };
-            let Some(spec) = callees.dp(&call.callee) else { continue };
+            let Some(spec) = prog.callee_at(mid, si).and_then(|c| callees.dp(c)) else {
+                continue;
+            };
+            let call = stmt.call().expect("a statement with a callee id is a call");
             let request_value = match spec.request {
                 DpRequestLoc::Receiver => call.receiver.clone(),
                 DpRequestLoc::Arg(i) => call.args.get(i).cloned(),

@@ -278,7 +278,7 @@ mod tests {
         let obf_builder = omap.classes.get("okhttp3.Request$Builder").expect("renamed");
         assert!(obf.class(obf_builder).is_some());
 
-        let inferred = infer_library_map(&obf, &stubs::library_reference());
+        let inferred = infer_library_map(&obf, stubs::library_reference());
         assert_eq!(
             inferred.classes.get(obf_builder).map(String::as_str),
             Some("okhttp3.Request$Builder"),
@@ -297,7 +297,7 @@ mod tests {
         let mut b = ApkBuilder::new("t", "t");
         stubs::install(&mut b);
         let apk = b.build();
-        let map = infer_library_map(&apk, &stubs::library_reference());
+        let map = infer_library_map(&apk, stubs::library_reference());
         assert!(map.is_empty());
         // deobfuscate is then the identity, and lends the input back.
         let out = deobfuscate(&apk, &map);

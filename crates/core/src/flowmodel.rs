@@ -9,17 +9,14 @@
 
 use crate::semantics::{ApiOp, CalleeTable};
 use extractocol_analysis::{ApiFlowModel, ConservativeModel, Slot};
-use extractocol_ir::MethodRef;
+use extractocol_ir::{CalleeId, MethodRef, ProgramIndex};
 use std::borrow::Cow;
 
 /// The engine reads each call's flows from the per-analysis table, by
-/// reference; a callee the program never calls is unmodelled.
-impl ApiFlowModel for CalleeTable<'_> {
-    fn flows(&self, callee: &MethodRef) -> Cow<'_, [(Slot, Slot)]> {
-        match self.get(callee) {
-            Some(r) => Cow::Borrowed(&r.flows),
-            None => ConservativeModel.flows(callee),
-        }
+/// reference.
+impl ApiFlowModel for CalleeTable {
+    fn flows(&self, _prog: &ProgramIndex<'_>, callee: CalleeId) -> Cow<'_, [(Slot, Slot)]> {
+        Cow::Borrowed(&self.get(callee).flows)
     }
 }
 
@@ -131,7 +128,7 @@ pub(crate) fn op_flows(op: &ApiOp, callee: &MethodRef) -> Vec<(Slot, Slot)> {
         // Origins produce fresh data (seeded explicitly); sinks consume.
         ApiOp::Origin(_) | ApiOp::Sink(_) => Vec::new(),
 
-        ApiOp::Unknown => ConservativeModel.flows(callee).into_owned(),
+        ApiOp::Unknown => ConservativeModel::flows_of_arity(n),
     }
 }
 
@@ -158,6 +155,14 @@ mod tests {
         b.build()
     }
 
+    /// The id of the app's callee with `r`'s class and name. The app's
+    /// calls pass string constants, so parameter types may differ.
+    fn callee_named(prog: &ProgramIndex<'_>, r: &MethodRef) -> Option<CalleeId> {
+        (0..prog.callee_count() as u32)
+            .map(CalleeId)
+            .find(|&c| prog.callee(c).class == r.class && prog.callee(c).name == r.name)
+    }
+
     #[test]
     fn precise_flows_for_modelled_apis() {
         let sb = Type::object("java.lang.StringBuilder");
@@ -172,7 +177,8 @@ mod tests {
 
         let append =
             MethodRef::new("java.lang.StringBuilder", "append", vec![Type::string()], sb.clone());
-        let flows = fm.flows(&append);
+        let id = |r: &MethodRef| callee_named(&prog, r).expect("the app calls it");
+        let flows = fm.flows(&prog, id(&append));
         assert!(matches!(flows, Cow::Borrowed(_)), "read from the table");
         assert!(flows.contains(&(Slot::Arg(0), Slot::Receiver)));
         assert!(flows.contains(&(Slot::Receiver, Slot::Return)));
@@ -185,7 +191,7 @@ mod tests {
             vec![Type::string()],
             Type::string(),
         );
-        let flows = fm.flows(&get);
+        let flows = fm.flows(&prog, id(&get));
         assert!(flows.contains(&(Slot::Receiver, Slot::Return)));
         assert!(!flows.iter().any(|(_, to)| *to == Slot::Receiver));
 
@@ -196,7 +202,7 @@ mod tests {
             vec![Type::Int],
             Type::string(),
         );
-        assert!(fm.flows(&res).is_empty());
+        assert!(fm.flows(&prog, id(&res)).is_empty());
     }
 
     #[test]
@@ -206,20 +212,20 @@ mod tests {
         let model = SemanticModel::standard();
         let fm = CalleeTable::build(&model, &prog);
         let mystery = MethodRef::new("x.Y", "z", vec![Type::string()], Type::string());
-        let conservative = ConservativeModel.flows(&mystery);
+        let id = callee_named(&prog, &mystery).expect("the app calls it");
+        let conservative = ConservativeModel.flows(&prog, id);
         assert!(conservative.contains(&(Slot::Arg(0), Slot::Return)));
         assert!(conservative.contains(&(Slot::Receiver, Slot::Return)));
-        assert_eq!(fm.flows(&mystery), conservative);
-        // A callee outside the program is unmodelled, even when the model
-        // knows its name.
+        assert_eq!(fm.flows(&prog, id), conservative);
+        assert_eq!(*fm.op(id), ApiOp::Unknown);
+        assert!(fm.dp(id).is_none());
+        // A callee no call statement names has no id to look up.
         let absent = MethodRef::new(
             "org.json.JSONObject",
             "getString",
             vec![Type::string()],
             Type::string(),
         );
-        assert_eq!(fm.flows(&absent), ConservativeModel.flows(&absent));
-        assert_eq!(*fm.op(&absent), ApiOp::Unknown);
-        assert!(fm.dp(&absent).is_none());
+        assert!(callee_named(&prog, &absent).is_none());
     }
 }

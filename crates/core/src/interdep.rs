@@ -82,7 +82,7 @@ type DepViaKey = DepVia;
 /// Infers all dependency edges over the paired transactions.
 pub fn dependencies(
     prog: &ProgramIndex<'_>,
-    callees: &CalleeTable<'_>,
+    callees: &CalleeTable,
     slices: &[SliceSet],
     txns: &[Transaction],
 ) -> Vec<DependencyEdge> {
@@ -146,7 +146,7 @@ pub fn dependencies(
 /// Collects the state cells a transaction's slices touch.
 fn collect_cells(
     prog: &ProgramIndex<'_>,
-    callees: &CalleeTable<'_>,
+    callees: &CalleeTable,
     _slice: &SliceSet,
     txn: &Transaction,
 ) -> TxnCells {
@@ -169,7 +169,7 @@ fn collect_cells(
             _ => {}
         }
         if let Some(call) = stmt.call() {
-            match callees.op(&call.callee) {
+            match callees.op_at(prog, m, s) {
                 ApiOp::CellPut(CellKind::Prefs) => {
                     if let Some(Value::Const(extractocol_ir::Const::Str(k))) = call.args.first() {
                         // Field granularity: which response key produced the
@@ -212,7 +212,7 @@ fn collect_cells(
             _ => {}
         }
         if let Some(call) = stmt.call() {
-            match callees.op(&call.callee) {
+            match callees.op_at(prog, m, s) {
                 ApiOp::CellGet(CellKind::Prefs) => {
                     if let Some(Value::Const(extractocol_ir::Const::Str(k))) = call.args.first() {
                         let part = result_local(stmt)
@@ -243,7 +243,7 @@ fn result_local(stmt: &Stmt) -> Option<Local> {
 /// within the method from statement `s`.
 fn value_json_key(
     prog: &ProgramIndex<'_>,
-    callees: &CalleeTable<'_>,
+    callees: &CalleeTable,
     m: MethodId,
     s: usize,
     v: &Value,
@@ -258,14 +258,14 @@ fn value_json_key(
 /// backward within the method.
 fn expr_json_key(
     prog: &ProgramIndex<'_>,
-    callees: &CalleeTable<'_>,
+    callees: &CalleeTable,
     m: MethodId,
     s: usize,
     expr: &Expr,
 ) -> Option<String> {
     let mut cur: Local = match expr {
         Expr::Use(Value::Local(l)) => *l,
-        Expr::Invoke(c) => return call_json_key(callees, c),
+        Expr::Invoke(c) => return call_json_key(callees.op_at(prog, m, s), c),
         _ => return None,
     };
     let body = &prog.method(m).body;
@@ -273,7 +273,7 @@ fn expr_json_key(
         match &body[i] {
             Stmt::Assign { place: Place::Local(l), expr } if *l == cur => match expr {
                 Expr::Use(Value::Local(src)) => cur = *src,
-                Expr::Invoke(c) => return call_json_key(callees, c),
+                Expr::Invoke(c) => return call_json_key(callees.op_at(prog, m, i), c),
                 _ => return None,
             },
             _ => {}
@@ -282,8 +282,9 @@ fn expr_json_key(
     None
 }
 
-fn call_json_key(callees: &CalleeTable<'_>, c: &Call) -> Option<String> {
-    match callees.op(&c.callee) {
+/// The key of a JSON `get` call `c` whose op is `op`.
+fn call_json_key(op: &ApiOp, c: &Call) -> Option<String> {
+    match op {
         ApiOp::JsonGet(_) => match c.args.first() {
             Some(Value::Const(extractocol_ir::Const::Str(k))) => Some(k.clone()),
             _ => None,
@@ -295,18 +296,18 @@ fn call_json_key(callees: &CalleeTable<'_>, c: &Call) -> Option<String> {
 /// The JSON key read at a specific sliced statement (for direct overlaps).
 fn json_key_of(
     prog: &ProgramIndex<'_>,
-    callees: &CalleeTable<'_>,
+    callees: &CalleeTable,
     m: MethodId,
     s: usize,
 ) -> Option<String> {
-    prog.method(m).body[s].call().and_then(|c| call_json_key(callees, c))
+    prog.method(m).body[s].call().and_then(|c| call_json_key(callees.op_at(prog, m, s), c))
 }
 
 /// Where a loaded value ends up in the request being built: follows copies
 /// forward within the method and reports the consuming part.
 fn request_part_of(
     prog: &ProgramIndex<'_>,
-    callees: &CalleeTable<'_>,
+    callees: &CalleeTable,
     m: MethodId,
     s: usize,
     start: Local,
@@ -314,7 +315,7 @@ fn request_part_of(
     let body = &prog.method(m).body;
     let mut aliases: HashSet<Local> = HashSet::new();
     aliases.insert(start);
-    for stmt in body.iter().skip(s + 1) {
+    for (i, stmt) in body.iter().enumerate().skip(s + 1) {
         // Track copies.
         if let Stmt::Assign { place: Place::Local(dst), expr: Expr::Use(Value::Local(src)) } = stmt
         {
@@ -328,7 +329,7 @@ fn request_part_of(
         if !uses_alias {
             continue;
         }
-        match callees.op(&call.callee) {
+        match callees.op_at(prog, m, i) {
             ApiOp::SetHeader | ApiOp::OkHeader => {
                 if let Some(Value::Const(extractocol_ir::Const::Str(k))) = call.args.first() {
                     return Some(format!("header:{k}"));

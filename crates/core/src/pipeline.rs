@@ -15,7 +15,7 @@ use crate::sigbuild::SignatureBuilder;
 use crate::slicing::{self, SliceOptions};
 use crate::stubs;
 use extractocol_analysis::{
-    diagnostics, CallGraph, CallbackRegistry, PointsTo, TaintEngine, TaintOptions,
+    diagnostics, CallGraph, CallbackRegistry, MethodTable, PointsTo, TaintEngine, TaintOptions,
 };
 use extractocol_incr::{Epoch, IncrStats, TargetedStats};
 use extractocol_ir::{Apk, MethodId, ProgramIndex};
@@ -41,9 +41,9 @@ pub struct Options {
     pub jobs: usize,
     /// Solve Andersen points-to before building the call graph (the
     /// SPARK layer): virtual sites devirtualize through receiver
-    /// points-to sets (falling back to the CHA cone where empty), the
-    /// taint engine narrows call targets by receiver aliasing, and
-    /// augmentation seeds from actual allocation sites. Turning this off
+    /// points-to sets (falling back to the CHA cone where empty), so the
+    /// taint engine only steps into those targets, and augmentation
+    /// seeds from actual allocation sites. Turning this off
     /// reverts to pure CHA — the `cha_vs_pta` ablation's baseline.
     pub pointsto: bool,
     /// Demand-driven targeted mode: compute the reachability cone of the
@@ -161,7 +161,7 @@ impl Extractocol {
         let (apk, deobfuscated_classes) = {
             let mut span = phases.phase(trace, "deobfuscation");
             let out = if self.options.deobfuscate_libraries {
-                let map = deobf::infer_library_map(apk, &stubs::library_reference());
+                let map = deobf::infer_library_map(apk, stubs::library_reference());
                 let n = map.classes.len();
                 (deobf::deobfuscate(apk, &map), n)
             } else {
@@ -174,13 +174,16 @@ impl Extractocol {
         let mut span = phases.phase(trace, "indexing");
         let prog = ProgramIndex::new(&apk);
         // Every phase below reads the model through this table: each
-        // distinct callee resolved once, looked up by reference.
+        // distinct callee resolved once, looked up by its id.
         let callees = CalleeTable::build(&self.model, &prog);
+        // Per-method CFGs and entry/exit locals, built on first use and
+        // shared by points-to, the lint and the taint engine.
+        let methods = MethodTable::new(&prog);
         // Targeted mode defers points-to until the cone is known; the
         // whole-program solve only runs here in untargeted mode.
         let mut pts = (self.options.pointsto && !self.options.targeted).then(|| {
             let _s = trace.span_in("step", "pointsto_solve");
-            PointsTo::solve(&prog)
+            PointsTo::solve(&methods)
         });
         let mut graph = {
             let _s = trace.span_in("step", "callgraph_build");
@@ -221,7 +224,7 @@ impl Extractocol {
             let c = extractocol_incr::cone::compute(&prog, &graph, &roots);
             if self.options.pointsto {
                 let _s = trace.span_in("step", "pointsto_solve_scoped");
-                let p = PointsTo::solve_scoped(&prog, &c);
+                let p = PointsTo::solve_scoped(&methods, &c);
                 graph = CallGraph::build_with_pointsto(&prog, &self.registry, &p);
                 pts = Some(p);
             }
@@ -237,7 +240,7 @@ impl Extractocol {
         let lints = {
             let _s = trace.span_in("step", "lint");
             diagnostics::lint_scoped(
-                &prog,
+                &methods,
                 &graph,
                 pts.as_ref(),
                 &|callee| !matches!(callees.op(callee), ApiOp::Unknown),
@@ -248,14 +251,13 @@ impl Extractocol {
         // The taint engine is pipeline-owned so the persistent summary
         // cache can preload into it before slicing and export afterwards.
         let engine = TaintEngine::with_scope(
-            &prog,
+            &methods,
             &graph,
             &callees,
             TaintOptions {
                 max_field_depth: self.options.slice.max_field_depth,
                 ..TaintOptions::default()
             },
-            pts.as_ref(),
             cone.as_ref(),
         );
 
@@ -271,8 +273,7 @@ impl Extractocol {
         let mut fingerprints = None;
         if let Some(path) = cache_path {
             let mut span = phases.phase(trace, "incremental");
-            let fp =
-                extractocol_incr::validity::fingerprints(&prog, &graph, &engine, cone.as_ref());
+            let fp = extractocol_incr::validity::fingerprints(&prog, &graph, cone.as_ref());
             let outcome = extractocol_incr::load_into_engine(path, &epoch, &prog, &fp, &engine);
             span.attr("preloaded", outcome.stats.preloaded).attr("valid", outcome.stats.valid);
             incr_stats = Some(outcome.stats);

@@ -9,11 +9,11 @@
 //! android.media, retrofit, BeeFramework, and okhttp" (§4).
 //!
 //! An analysis does not query the model once per call. Right after
-//! indexing the program it builds a [`CalleeTable`]: one scan of every
-//! call statement resolves each distinct callee (static class, name,
-//! arity) once, through the model's ancestor walk, into its op, its
-//! demarcation spec and its taint flows. Four consumers read that table
-//! by reference:
+//! indexing the program it builds a [`CalleeTable`]: each distinct callee
+//! the index found ([`extractocol_ir::CalleeId`]) is resolved once,
+//! through the model's ancestor walk, into its op, its demarcation spec
+//! and its taint flows. Four consumers read that table by the callee id
+//! of each call statement:
 //!
 //! * demarcation-point discovery ([`crate::demarcation`]);
 //! * the taint engine's transfer for bodyless library calls
@@ -32,8 +32,7 @@
 
 use extractocol_analysis::Slot;
 use extractocol_http::HttpMethod;
-use extractocol_ir::{MethodRef, ProgramIndex};
-use std::collections::hash_map::Entry;
+use extractocol_ir::{CalleeId, MethodId, MethodRef, ProgramIndex};
 use std::collections::HashMap;
 
 /// Where a demarcation point's request object lives in the call.
@@ -283,56 +282,45 @@ pub(crate) struct ResolvedCallee {
     pub(crate) flows: Vec<(Slot, Slot)>,
 }
 
-/// The semantic model resolved against one program: every distinct
-/// callee of its call statements, keyed by its static class, method name
-/// and arity — all that [`SemanticModel`]'s lookup reads — with the
-/// strings borrowed from the program. A lookup hashes the key once and
-/// returns a reference — no clone, no lock, no allocation — so the
+/// The semantic model resolved against one program: one entry per
+/// [`CalleeId`] of the program, resolved when the table is built.
+/// [`SemanticModel`]'s lookup reads only a callee's static class, method
+/// name and arity, so the entry of a callee is what the model gives for
+/// it. A lookup indexes the table by the id the program records at each
+/// call statement — no hashing, no clone, no lock, no allocation — so the
 /// parallel workers share one table read-only.
-pub struct CalleeTable<'p> {
-    /// Callee key → its dense id, an index into `resolved`. The map holds
-    /// ids rather than the resolutions so that a lookup's result borrows
-    /// the table, not the (shorter-lived) key it was asked with.
-    ids: HashMap<(&'p str, &'p str, usize), usize>,
+pub struct CalleeTable {
     resolved: Vec<ResolvedCallee>,
 }
 
-impl<'p> CalleeTable<'p> {
-    /// Scans every call statement of `prog` and resolves each distinct
-    /// callee once.
-    pub fn build(model: &SemanticModel, prog: &ProgramIndex<'p>) -> CalleeTable<'p> {
-        let mut table = CalleeTable { ids: HashMap::new(), resolved: Vec::new() };
-        for mid in prog.methods() {
-            for stmt in &prog.method(mid).body {
-                let Some(call) = stmt.call() else { continue };
-                let c = &call.callee;
-                let key = (c.class.as_str(), c.name.as_str(), c.params.len());
-                if let Entry::Vacant(slot) = table.ids.entry(key) {
-                    slot.insert(table.resolved.len());
-                    table.resolved.push(model.resolve(prog, c));
-                }
-            }
-        }
-        table
+impl CalleeTable {
+    /// Resolves every callee of `prog` once.
+    pub fn build(model: &SemanticModel, prog: &ProgramIndex<'_>) -> CalleeTable {
+        let resolved = (0..prog.callee_count() as u32)
+            .map(|i| model.resolve(prog, prog.callee(CalleeId(i))))
+            .collect();
+        CalleeTable { resolved }
     }
 
-    /// The resolution of `callee`, or `None` for a callee that no call
-    /// statement of the program names — the table treats it as
-    /// unmodelled.
-    pub(crate) fn get(&self, callee: &MethodRef) -> Option<&ResolvedCallee> {
-        let key = (callee.class.as_str(), callee.name.as_str(), callee.params.len());
-        self.ids.get(&key).map(|&id| &self.resolved[id])
+    pub(crate) fn get(&self, callee: CalleeId) -> &ResolvedCallee {
+        &self.resolved[callee.0 as usize]
     }
 
-    /// The op for a call ([`SemanticModel::op_for`]).
-    pub fn op(&self, callee: &MethodRef) -> &ApiOp {
-        self.get(callee).map_or(&ApiOp::Unknown, |r| &r.op)
+    /// The op for a callee ([`SemanticModel::op_for`]).
+    pub fn op(&self, callee: CalleeId) -> &ApiOp {
+        &self.get(callee).op
     }
 
-    /// The demarcation spec if this call is a DP
+    /// The op of the call at statement `stmt` of `method`;
+    /// [`ApiOp::Unknown`] when that statement is not a call.
+    pub fn op_at(&self, prog: &ProgramIndex<'_>, method: MethodId, stmt: usize) -> &ApiOp {
+        prog.callee_at(method, stmt).map_or(&ApiOp::Unknown, |c| self.op(c))
+    }
+
+    /// The demarcation spec if this callee is a DP
     /// ([`SemanticModel::demarcation`]).
-    pub fn dp(&self, callee: &MethodRef) -> Option<&DpSpec> {
-        self.get(callee).and_then(|r| r.dp.as_ref())
+    pub fn dp(&self, callee: CalleeId) -> Option<&DpSpec> {
+        self.get(callee).dp.as_ref()
     }
 }
 

@@ -249,7 +249,7 @@ impl AbsVal {
 /// Per-DP signature extraction.
 pub struct SignatureBuilder<'a> {
     prog: &'a ProgramIndex<'a>,
-    callees: &'a CalleeTable<'a>,
+    callees: &'a CalleeTable,
     graph: &'a CallGraph,
     /// Global heap cells: `class#field` → value (two-round stabilized).
     heap: RefCell<HashMap<String, AbsVal>>,
@@ -284,7 +284,7 @@ impl<'a> SignatureBuilder<'a> {
     /// With no exclusions, all of the DP's roots are merged.
     pub fn extract_scoped(
         prog: &'a ProgramIndex<'a>,
-        callees: &'a CalleeTable<'a>,
+        callees: &'a CalleeTable,
         graph: &'a CallGraph,
         slice: &'a SliceSet,
         excluded_entries: &[MethodId],
@@ -739,7 +739,7 @@ impl<'a> SignatureBuilder<'a> {
     fn eval_call(
         &self,
         mid: MethodId,
-        _si: usize,
+        si: usize,
         call: &Call,
         env: &mut HashMap<Local, AbsVal>,
         is_dp_stmt: bool,
@@ -759,7 +759,7 @@ impl<'a> SignatureBuilder<'a> {
             }
         };
 
-        match self.callees.op(&call.callee) {
+        match self.callees.op_at(self.prog, mid, si) {
             // ---- strings ----
             ApiOp::SbNew => {
                 let init = arg_vals

@@ -19,7 +19,8 @@
 use crate::demarcation::DpSite;
 use crate::semantics::{CalleeTable, DpResponseLoc};
 use extractocol_analysis::{
-    AccessPath, CallGraph, Direction, PointsTo, Seed, TaintEngine, TaintOptions, TaintReport,
+    AccessPath, CallGraph, Direction, MethodTable, PointsTo, Seed, TaintEngine, TaintOptions,
+    TaintReport,
 };
 use extractocol_ir::{Expr, Local, MethodId, Place, ProgramIndex, Stmt, Value};
 use extractocol_obs::TraceCollector;
@@ -98,12 +99,13 @@ impl SliceStats {
 pub fn slice_all(
     prog: &ProgramIndex<'_>,
     graph: &CallGraph,
-    callees: &CalleeTable<'_>,
+    callees: &CalleeTable,
     sites: &[DpSite],
     opts: &SliceOptions,
 ) -> Vec<SliceSet> {
+    let methods = MethodTable::new(prog);
     let engine = TaintEngine::new(
-        prog,
+        &methods,
         graph,
         callees,
         TaintOptions { max_field_depth: opts.max_field_depth, ..TaintOptions::default() },

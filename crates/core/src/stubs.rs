@@ -15,6 +15,7 @@
 //! Every corpus app calls [`install`] first.
 
 use extractocol_ir::{ApkBuilder, Class, ClassBuilder, Type};
+use std::sync::OnceLock;
 
 fn obj() -> Type {
     Type::obj_root()
@@ -559,10 +560,14 @@ fn libraries(b: &mut ApkBuilder) {
 
 /// The reference third-party library classes for the de-obfuscation
 /// mapper: what Extractocol "knows" unobfuscated libraries look like.
-pub fn library_reference() -> Vec<Class> {
-    let mut b = ApkBuilder::new("reference", "reference");
-    libraries(&mut b);
-    b.build().classes
+/// Built once per process, on first use.
+pub fn library_reference() -> &'static [Class] {
+    static REFERENCE: OnceLock<Vec<Class>> = OnceLock::new();
+    REFERENCE.get_or_init(|| {
+        let mut b = ApkBuilder::new("reference", "reference");
+        libraries(&mut b);
+        b.build().classes
+    })
 }
 
 #[cfg(test)]

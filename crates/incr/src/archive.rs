@@ -39,7 +39,7 @@ pub struct Epoch {
     pub app: String,
     /// `TaintOptions::max_field_depth` (access-path shapes depend on it).
     pub max_field_depth: u32,
-    /// Whether alias narrowing (points-to) was enabled.
+    /// Whether points-to devirtualization was enabled.
     pub pointsto: bool,
     /// Whether the run was targeted (cone-scoped) — scoped and
     /// whole-program engines agree on results but not on which summaries

@@ -1,23 +1,23 @@
 //! Summary validity fingerprints.
 //!
 //! A memoized taint summary rooted at method `M` reads, beyond `M`'s own
-//! body, exactly a *one-hop neighborhood*: the narrowed dispatch targets
-//! and implicit edges at `M`'s call sites (plus the bodies of those
-//! callees), and `M`'s callers (their bodies, whether their sites still
-//! dispatch into `M` after alias narrowing, and any implicit edges at
-//! those sites involving `M`). The validity fingerprint `V(M)` folds all
+//! body, exactly a *one-hop neighborhood*: the call graph's dispatch
+//! targets and implicit edges at `M`'s call sites (plus the bodies of
+//! those callees), and `M`'s callers (their bodies, whether their sites
+//! still dispatch into `M`, and any implicit edges at those sites
+//! involving `M`). The validity fingerprint `V(M)` folds all
 //! of that — content hashes included — into a single FNV-1a value, so a
 //! persisted summary is safe to replay iff the stored `V(M)` equals the
 //! one recomputed against the current program: equality means every input
 //! the summary's computation ever observed is unchanged.
 //!
-//! Alias narrowing is folded in by *result*, not by cause: `V(M)` encodes
-//! the narrowed target lists themselves, so a far-away edit that changes a
+//! Devirtualization is folded in by *result*, not by cause: `V(M)` encodes
+//! the target lists themselves, so a far-away edit that changes a
 //! points-to set (and therefore dispatch at one of `M`'s sites) changes
 //! `V(M)` even though the edit is outside the one-hop neighborhood.
 
 use crate::key;
-use extractocol_analysis::{CallGraph, OperandSource, TaintEngine};
+use extractocol_analysis::{CallGraph, OperandSource};
 use extractocol_ir::container::put_u64;
 use extractocol_ir::hash::fnv1a64;
 use extractocol_ir::{MethodId, ProgramIndex};
@@ -49,13 +49,12 @@ fn put_operand(buf: &mut Vec<u8>, o: &Option<OperandSource>) {
 
 /// Computes fingerprints for every concrete method (keys, content) and
 /// every in-scope method (validity). `scope` is the targeted cone, or
-/// `None` for whole-program runs. The engine supplies the per-site alias
-/// narrowing; it must be the same engine (same scope, same points-to
-/// input) that will consume or produce the summaries.
+/// `None` for whole-program runs. `graph` supplies the per-site dispatch;
+/// it must be the graph (same scope, same points-to input) of the taint
+/// engine that will consume or produce the summaries.
 pub fn fingerprints(
     prog: &ProgramIndex<'_>,
     graph: &CallGraph,
-    engine: &TaintEngine<'_, '_, '_>,
     scope: Option<&std::collections::HashSet<MethodId>>,
 ) -> Fingerprints {
     let keys = key::stable_keys(prog);
@@ -75,15 +74,17 @@ pub fn fingerprints(
         let mut buf: Vec<u8> = Vec::new();
         put_u64(&mut buf, chash(m));
 
-        // Outgoing sites: narrowed dispatch + implicit edges.
+        // Outgoing sites: dispatch + implicit edges.
         for (si, stmt) in prog.method(m).body.iter().enumerate() {
-            let Some(call) = stmt.call() else { continue };
+            if stmt.call().is_none() {
+                continue;
+            }
             let site = (m, si);
             buf.push(0xC1);
             put_u64(&mut buf, si as u64);
-            let targets = engine.narrowed_targets(site, call);
+            let targets = graph.targets_of(site);
             put_u64(&mut buf, targets.len() as u64);
-            for t in targets {
+            for &t in targets {
                 put_u64(&mut buf, key_hash(t));
                 put_u64(&mut buf, chash(t));
             }
@@ -121,9 +122,7 @@ pub fn fingerprints(
             put_u64(&mut buf, key_hash(cm));
             put_u64(&mut buf, cs as u64);
             put_u64(&mut buf, chash(cm));
-            let call = prog.method(cm).body.get(cs).and_then(|s| s.call());
-            let dispatches =
-                call.is_some_and(|c| engine.narrowed_targets((cm, cs), c).contains(&m));
+            let dispatches = graph.targets_of((cm, cs)).contains(&m);
             buf.push(dispatches as u8);
             for e in graph.implicit_of((cm, cs)) {
                 let chained = e.chains_to.map(|(c, _)| c);

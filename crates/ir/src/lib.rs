@@ -44,7 +44,7 @@ pub mod values;
 pub use apk::{Apk, Manifest, Resources};
 pub use builder::{ApkBuilder, ClassBuilder, MethodBuilder};
 pub use class::{Class, FieldDecl, LocalDecl, Method};
-pub use program::{ClassId, MethodId, ProgramIndex};
+pub use program::{CalleeId, ClassId, MethodId, ProgramIndex};
 pub use stmt::{BinOp, Call, CallKind, Cond, CondOp, Expr, IdentityKind, Stmt, UnOp};
 pub use types::Type;
 pub use values::{Const, FieldRef, Local, MethodRef, Place, Value};

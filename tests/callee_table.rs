@@ -1,8 +1,9 @@
 //! The per-analysis callee table against the semantic model it is built
 //! from. At every call statement of every corpus app — as shipped, with
 //! its app code renamed, and with its libraries renamed and then mapped
-//! back by the §3.4 de-obfuscator — the table must give the op and the
-//! demarcation spec that `SemanticModel::op_for` and
+//! back by the §3.4 de-obfuscator — the callee id the program records
+//! must name that call's callee, and the table must give, for that id,
+//! the op and the demarcation spec that `SemanticModel::op_for` and
 //! `SemanticModel::demarcation` give for that one call.
 
 use extractocol_core::deobf;
@@ -24,7 +25,9 @@ fn check(label: &str, apk: &Apk, model: &SemanticModel, bad: &mut Vec<String>) -
             let (op, dp) =
                 (model.op_for(&prog, &call.callee), model.demarcation(&prog, &call.callee));
             dps += usize::from(dp.is_some());
-            if *table.op(&call.callee) != op || table.dp(&call.callee) != dp.as_ref() {
+            let id = prog.callee_at(mid, si).expect("every call statement has a callee id");
+            if prog.callee(id) != &call.callee || *table.op(id) != op || table.dp(id) != dp.as_ref()
+            {
                 bad.push(format!(
                     "{label}: {} stmt {si}: call to {}",
                     prog.method_display(mid),
@@ -48,7 +51,7 @@ fn table_matches_the_model_at_every_corpus_call() {
         let name = &app.truth.name;
         let (renamed, _) = obfuscate(&app.apk, &ObfuscationOptions::default());
         let (lib_renamed, _) = obfuscate(&app.apk, &rename_libraries);
-        let map = deobf::infer_library_map(&lib_renamed, &reference);
+        let map = deobf::infer_library_map(&lib_renamed, reference);
         let mapped_back = deobf::deobfuscate(&lib_renamed, &map);
         recovered += usize::from(!map.is_empty());
         for (label, apk) in

@@ -5,7 +5,7 @@
 //! *extracted protocol signature does not move*, because the pruned
 //! targets never execute.
 
-use extractocol_analysis::{CallGraph, CallbackRegistry, PointsTo};
+use extractocol_analysis::{CallGraph, CallbackRegistry, MethodTable, PointsTo};
 use extractocol_core::{stubs, Extractocol, Options};
 use extractocol_ir::{Apk, ProgramIndex, Type, Value};
 
@@ -87,7 +87,7 @@ fn pta_prunes_cha_targets_at_the_interface_site() {
     let prog = ProgramIndex::new(&apk);
     let registry = CallbackRegistry::android_defaults();
     let cha = CallGraph::build(&prog, &registry);
-    let pts = PointsTo::solve(&prog);
+    let pts = PointsTo::solve(&MethodTable::new(&prog));
     let pta = CallGraph::build_with_pointsto(&prog, &registry, &pts);
 
     // Find the interface call site in Main.fetch.
@@ -132,7 +132,7 @@ fn corpus_pta_is_strictly_leaner_than_cha_with_identical_reports() {
         let prog = ProgramIndex::new(&app.apk);
         let registry = CallbackRegistry::android_defaults();
         let cha_graph = CallGraph::build(&prog, &registry);
-        let pts = PointsTo::solve(&prog);
+        let pts = PointsTo::solve(&MethodTable::new(&prog));
         let pta_graph = CallGraph::build_with_pointsto(&prog, &registry, &pts);
         assert!(
             pta_graph.total_explicit_targets() <= cha_graph.total_explicit_targets(),
